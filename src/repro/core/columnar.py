@@ -30,6 +30,7 @@ this equivalence on random databases and plans.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,6 +45,7 @@ from repro.obs.trace import span as _span
 
 __all__ = [
     "ValueInterner",
+    "BaseEncoding",
     "ColumnarPLRelation",
     "ColumnarProjected",
     "Comparison",
@@ -68,25 +70,27 @@ class ValueInterner:
     equality) gets one non-negative ``int64`` code; all columnar relations of
     one evaluation share a single interner, so codes are directly comparable
     across relations and a join never has to look at the values themselves.
+
+    Thread-safe: codes are assigned under one lock and never change, and a
+    value is stored before its code is published, so lock-free readers
+    (:meth:`code_of`, :meth:`decode_column`) only ever see complete entries.
+    That lets one interner serve concurrent evaluations (see
+    :class:`BaseEncoding`).
     """
 
-    __slots__ = ("_codes", "_values")
+    __slots__ = ("_codes", "_values", "_lock")
 
     def __init__(self) -> None:
         self._codes: dict = {}
         self._values: list = []
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._values)
 
     def intern(self, value) -> int:
         """Code of *value*, interning it first if unseen."""
-        code = self._codes.get(value)
-        if code is None:
-            code = len(self._values)
-            self._codes[value] = code
-            self._values.append(value)
-        return code
+        return int(self._intern_all([value])[0])
 
     def code_of(self, value) -> int | None:
         """Code of *value*, or ``None`` when it was never interned (in which
@@ -120,32 +124,22 @@ class ValueInterner:
                 and all(isinstance(v, str) for v in values)
             ):
                 uniq, inv = np.unique(arr, return_inverse=True)
-                return self._intern_unique(uniq)[inv]
-        out = np.empty(n, dtype=np.int64)
-        codes = self._codes
-        vals = self._values
-        for i, v in enumerate(values):
-            c = codes.get(v)
-            if c is None:
-                c = len(vals)
-                codes[v] = c
-                vals.append(v)
-            out[i] = c
-        return out
+                return self._intern_all(uniq.tolist())[inv]
+        return self._intern_all(values)
 
-    def _intern_unique(self, uniq: np.ndarray) -> np.ndarray:
-        """Intern a small array of distinct values; returns their codes."""
+    def _intern_all(self, values) -> np.ndarray:
+        """Codes of *values* (a sequence), interning unseen ones."""
         codes = self._codes
         vals = self._values
-        append = vals.append
-        out = np.empty(uniq.size, dtype=np.int64)
-        for i, v in enumerate(uniq.tolist()):
-            c = codes.get(v)
-            if c is None:
-                c = len(vals)
-                codes[v] = c
-                append(v)
-            out[i] = c
+        out = np.empty(len(values), dtype=np.int64)
+        with self._lock:
+            for i, v in enumerate(values):
+                c = codes.get(v)
+                if c is None:
+                    c = len(vals)
+                    vals.append(v)
+                    codes[v] = c
+                out[i] = c
         return out
 
     def decode_column(self, codes: np.ndarray) -> list:
@@ -342,12 +336,111 @@ def _encode_base(relation, interner, codes, n, k):
     if arr is not None:
         for j in range(k):
             uniq, inv = np.unique(arr[:, j], return_inverse=True)
-            codes[:, j] = interner._intern_unique(uniq)[inv]
+            codes[:, j] = interner._intern_all(uniq.tolist())[inv]
     else:
         columns = list(zip(*rows))
         for j in range(k):
             codes[:, j] = interner.encode_column(columns[j])
     return codes, probs
+
+
+class BaseEncoding:
+    """Dictionary encodings of base relations, shared by many evaluations.
+
+    One :class:`ValueInterner` plus a per-relation cache of ``(codes,
+    probs)`` as produced by :func:`encode_base`. A long-lived holder (a
+    :class:`~repro.serve.Server`, or one evaluator across the join orders
+    the optimizer costs) hands the same instance to every
+    :class:`~repro.core.executor.PartialLineageEvaluator` and
+    :class:`~repro.dissociation.DissociationEvaluator` it builds, so a
+    relation no mutation touched is encoded once, on its first scan.
+
+    An entry is valid only for the exact relation object it encoded (an
+    ``is`` check against the reference it holds — a freed object's ``id``
+    can be reused) at the :attr:`~repro.db.ProbabilisticRelation.mutations`
+    count it saw. A transactional commit installs new relation objects, so
+    only the touched relations miss; an in-place mutation bumps the count,
+    so it misses too. A holder subscribed to the database's mutation hooks
+    (the server is) calls :meth:`invalidate` to free a mutated relation's
+    entries at once. At most :attr:`max_versions` encodings are kept per
+    relation name: readers of older snapshots can stay warm while a newer
+    version is served, and the cache stays bounded under any number of
+    commits.
+
+    Thread-safe: lookups and stores take one short lock, and the encode
+    itself runs outside it (the interner locks its own code assignment).
+    Two threads missing on the same relation at once both encode it; both
+    results are equal, and the later store replaces the earlier.
+    """
+
+    #: Encoded versions kept per relation name.
+    max_versions = 2
+
+    __slots__ = ("interner", "hits", "misses", "_entries", "_lock")
+
+    def __init__(self) -> None:
+        self.interner = ValueInterner()
+        #: Scans served from the cache / scans that had to encode.
+        self.hits = 0
+        self.misses = 0
+        # name -> [(relation, mutations, codes, probs)], oldest first
+        self._entries: dict[str, list[tuple]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """Number of cached encodings (over all relations and versions)."""
+        with self._lock:
+            return sum(len(v) for v in self._entries.values())
+
+    def arrays(
+        self, relation: ProbabilisticRelation
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``(codes, probs, hit)`` for *relation*, encoding it on a miss.
+
+        The arrays are shared with every other reader: treat them as
+        read-only.
+        """
+        name = relation.name
+        stamp = relation.mutations
+        with self._lock:
+            for rel, seen, codes, probs in self._entries.get(name, ()):
+                if rel is relation and seen == stamp:
+                    self.hits += 1
+                    return codes, probs, True
+            self.misses += 1
+        codes, probs = encode_base(relation, self.interner)
+        with self._lock:
+            versions = [
+                e for e in self._entries.get(name, ()) if e[0] is not relation
+            ]
+            versions.append((relation, stamp, codes, probs))
+            self._entries[name] = versions[-self.max_versions:]
+        return codes, probs, False
+
+    def invalidate(self, name: str | None = None) -> None:
+        """Drop the encodings of relation *name* (all relations when
+        ``None``); the signature fits a database mutation hook."""
+        with self._lock:
+            if name is None:
+                self._entries.clear()
+            else:
+                self._entries.pop(name, None)
+
+    def as_dict(self) -> dict:
+        """Counters for reports and ``Server.stats()``."""
+        with self._lock:
+            entries = sum(len(v) for v in self._entries.values())
+            relations = len(self._entries)
+            hits, misses = self.hits, self.misses
+        lookups = hits + misses
+        return {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / lookups if lookups else 0.0,
+            "relations": relations,
+            "entries": entries,
+            "values": len(self.interner),
+        }
 
 
 def from_plrelation(

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import columnar as _columnar
-from repro.core.columnar import ColumnarPLRelation, ValueInterner
+from repro.core.columnar import BaseEncoding, ColumnarPLRelation
 from repro.core.inference import compute_marginal
 from repro.core.network import EPSILON, AndOrNetwork
 from repro.core.operators import pl_join, project, select_eq, select_where
@@ -109,6 +108,10 @@ class EvaluationResult:
     #: operator backend that produced this result (``"columnar"``,
     #: ``"rows"``, ``"sqlite"``), stamped into flight-recorder records
     engine: str = ""
+    #: base-relation scans of this evaluation served from the evaluator's
+    #: :class:`~repro.core.columnar.BaseEncoding` (``hits``) or encoded
+    #: (``misses``); empty for engines that do not encode
+    base_encode: dict = field(default_factory=dict)
 
     def whatif(self, *, circuit_cache=None, budget=None):
         """A :class:`~repro.core.whatif.WhatIfAnalysis` over this result.
@@ -147,11 +150,18 @@ class EvaluationResult:
 
         The query hash is the digest of the plan's operator signature, so
         re-evaluations of the same plan shape aggregate under one hash in
-        the flight log regardless of instance data.
+        the flight log regardless of instance data. The ``cache`` block
+        carries the subformula-cache counters of *cache* plus this
+        evaluation's base-encode hits and misses (``encode_hits`` /
+        ``encode_misses``), so the log shows whether its scans re-encoded.
         """
         from repro.obs import telemetry
 
         plan_sig = "|".join(s.operator for s in self.stats)
+        cache_block = telemetry.cache_dict(cache)
+        if self.base_encode:
+            cache_block["encode_hits"] = self.base_encode["hits"]
+            cache_block["encode_misses"] = self.base_encode["misses"]
         return telemetry.record(
             kind,
             query_hash=telemetry.query_hash(plan_sig),
@@ -165,7 +175,7 @@ class EvaluationResult:
             operators=telemetry.operator_dicts(self.stats),
             rungs=dict(rungs or {}),
             degraded=degraded,
-            cache=telemetry.cache_dict(cache),
+            cache=cache_block,
             budget=telemetry.budget_dict(budget),
             workers=workers if workers is not None else self.workers,
             error=error,
@@ -429,6 +439,7 @@ class PartialLineageEvaluator:
         workers: int | None = None,
         budget=None,
         circuit_cache=None,
+        encoding: BaseEncoding | None = None,
     ) -> None:
         self.db = db
         #: Pass-through to :class:`AndOrNetwork`: disable to ablate the
@@ -456,12 +467,13 @@ class PartialLineageEvaluator:
         self.circuit_cache = circuit_cache
         if circuit_cache is not None:
             circuit_cache.watch(db)
-        # Shared dictionary encoding plus a per-base-relation encode cache for
-        # the columnar engine: scans of the same (unmodified) relation across
-        # evaluations — e.g. the optimizer costing many join orders — reuse
-        # the code matrix instead of re-interning every value.
-        self._interner = ValueInterner()
-        self._base_cache: dict = {}
+        #: The columnar engine's :class:`~repro.core.columnar.BaseEncoding`:
+        #: scans of an unmodified relation across evaluations — the
+        #: optimizer costing many join orders, every statement of a server —
+        #: reuse its code matrix instead of re-interning every value. Pass
+        #: one to share it between evaluators; by default each evaluator
+        #: owns its own.
+        self.encoding = encoding if encoding is not None else BaseEncoding()
 
     # ------------------------------------------------------------ entry points
     def evaluate(self, plan: Plan, budget=None) -> EvaluationResult:
@@ -485,7 +497,8 @@ class PartialLineageEvaluator:
         network = AndOrNetwork(hashing=self.hashing)
         stats: list[OperatorStat] = []
         conditioned: list[OffendingTuple] = []
-        rel = self._eval(plan, network, stats, conditioned, budget)
+        encode = {"hits": 0, "misses": 0} if self.engine == "columnar" else {}
+        rel = self._eval(plan, network, stats, conditioned, budget, encode)
         if isinstance(rel, ColumnarPLRelation):
             rel = rel.to_rows()
         return EvaluationResult(
@@ -493,12 +506,16 @@ class PartialLineageEvaluator:
             workers=self.workers, budget=budget,
             circuit_cache=self.circuit_cache,
             engine=self.engine,
+            base_encode=encode,
         )
 
     def invalidate_cache(self) -> None:
-        """Drop the columnar base-relation encode cache and any compiled
-        circuits (call after mutating a base relation in place)."""
-        self._base_cache.clear()
+        """Drop the base-relation encodings and any compiled circuits.
+
+        Never needed for correctness — an encoding is only reused for the
+        relation object and mutation count it was built from — but it frees
+        their memory."""
+        self.encoding.invalidate()
         if self.circuit_cache is not None:
             self.circuit_cache.clear()
 
@@ -518,7 +535,8 @@ class PartialLineageEvaluator:
         network: AndOrNetwork,
         stats: list[OperatorStat],
         provenance: list[OffendingTuple],
-        budget=None,
+        budget,
+        encode: dict,
     ) -> PLRelation:
         # The operators dispatch on the relation type, so the recursion is
         # engine-agnostic; only the scan differs. Each operator's own wall
@@ -526,40 +544,52 @@ class PartialLineageEvaluator:
         # tracer is active — in a per-operator span. A budget, when present,
         # is checkpointed after every operator: deadline plus network-size
         # cap, the two resources the operator pipeline itself consumes.
+        # *encode* counts this evaluation's base-encode hits and misses.
         if isinstance(plan, Scan):
             with _span("scan", op=str(plan), engine=self.engine) as sp:
                 start = time.perf_counter()
-                rel = (
-                    self._scan_columnar(plan, network)
-                    if self.engine == "columnar"
-                    else self._scan(plan, network)
-                )
+                if self.engine == "columnar":
+                    rel, hit = self._scan_columnar(plan, network)
+                    encode["hits" if hit else "misses"] += 1
+                    sp.annotate(encoded="hit" if hit else "miss")
+                else:
+                    rel = self._scan(plan, network)
                 seconds = time.perf_counter() - start
                 sp.add("output_size", len(rel))
         elif isinstance(plan, Select):
-            child = self._eval(plan.child, network, stats, provenance, budget)
+            child = self._eval(
+                plan.child, network, stats, provenance, budget, encode
+            )
             with _span("select", op=str(plan), engine=self.engine) as sp:
                 start = time.perf_counter()
                 rel = select_eq(child, dict(plan.conditions))
                 seconds = time.perf_counter() - start
                 sp.add("output_size", len(rel))
         elif isinstance(plan, Filter):
-            child = self._eval(plan.child, network, stats, provenance, budget)
+            child = self._eval(
+                plan.child, network, stats, provenance, budget, encode
+            )
             with _span("filter", op=str(plan), engine=self.engine) as sp:
                 start = time.perf_counter()
                 rel = select_where(child, list(plan.predicates))
                 seconds = time.perf_counter() - start
                 sp.add("output_size", len(rel))
         elif isinstance(plan, Project):
-            child = self._eval(plan.child, network, stats, provenance, budget)
+            child = self._eval(
+                plan.child, network, stats, provenance, budget, encode
+            )
             with _span("project", op=str(plan), engine=self.engine) as sp:
                 start = time.perf_counter()
                 rel = project(child, plan.attributes)
                 seconds = time.perf_counter() - start
                 sp.add("output_size", len(rel))
         elif isinstance(plan, Join):
-            left = self._eval(plan.left, network, stats, provenance, budget)
-            right = self._eval(plan.right, network, stats, provenance, budget)
+            left = self._eval(
+                plan.left, network, stats, provenance, budget, encode
+            )
+            right = self._eval(
+                plan.right, network, stats, provenance, budget, encode
+            )
             with _span("join", op=str(plan), engine=self.engine) as sp:
                 start = time.perf_counter()
                 rel, conditioned = pl_join(
@@ -595,32 +625,25 @@ class PartialLineageEvaluator:
         return rel
 
     # ------------------------------------------------------------------ scans
-    def _base_arrays(self, name: str):
-        """Cached dictionary encoding of a base relation (columnar engine)."""
-        base = self.db[name]
-        key = (name, id(base), len(base))
-        hit = self._base_cache.get(key)
-        if hit is None:
-            hit = _columnar.encode_base(base, self._interner)
-            self._base_cache[key] = hit
-        return hit
-
     def _scan_columnar(
         self, scan: Scan, network: AndOrNetwork
-    ) -> ColumnarPLRelation:
+    ) -> tuple[ColumnarPLRelation, bool]:
+        """The scan's columnar relation, and whether the base encoding was
+        a cache hit."""
         base = self.db[scan.relation]
-        codes, probs = self._base_arrays(scan.relation)
+        codes, probs, hit = self.encoding.arrays(base)
+        interner = self.encoding.interner
         lineage = np.full(len(base), EPSILON, dtype=np.int64)
         if scan.terms is None:
             return ColumnarPLRelation(
                 base.schema.attributes,
                 network,
-                self._interner,
+                interner,
                 codes,
                 lineage,
                 probs,
                 name=base.name,
-            )
+            ), hit
         if len(scan.terms) != base.schema.arity:
             raise PlanError(
                 f"scan of {scan.relation}: {len(scan.terms)} terms for arity "
@@ -630,7 +653,7 @@ class PartialLineageEvaluator:
         var_first: dict[str, int] = {}
         for i, t in enumerate(scan.terms):
             if isinstance(t, Constant):
-                code = self._interner.code_of(t.value)
+                code = interner.code_of(t.value)
                 if code is None:
                     mask[:] = False
                 else:
@@ -644,14 +667,14 @@ class PartialLineageEvaluator:
         return ColumnarPLRelation(
             tuple(var_first),
             network,
-            self._interner,
+            interner,
             codes[idx][:, positions] if positions else np.empty(
                 (idx.size, 0), dtype=np.int64
             ),
             lineage[idx],
             probs[idx],
             name=str(scan),
-        )
+        ), hit
 
     def _scan(self, scan: Scan, network: AndOrNetwork) -> PLRelation:
         base = self.db[scan.relation]

@@ -40,7 +40,7 @@ class ProbabilisticRelation:
     [(1,)]
     """
 
-    __slots__ = ("schema", "_rows", "_hooks")
+    __slots__ = ("schema", "_rows", "_hooks", "_mutations")
 
     def __init__(
         self,
@@ -50,6 +50,7 @@ class ProbabilisticRelation:
         self.schema = schema
         self._rows: Dict[Row, float] = {}
         self._hooks: list = []
+        self._mutations = 0
         if rows is not None:
             items = rows.items() if isinstance(rows, Mapping) else rows
             for row, p in items:
@@ -91,8 +92,7 @@ class ProbabilisticRelation:
         if r in self._rows:
             raise SchemaError(f"duplicate tuple {r!r} in relation {self.name}")
         self._rows[r] = p
-        for hook in self._hooks:
-            hook(self.name)
+        self._mutated()
 
     def set_probability(self, row: Iterable, probability: float) -> None:
         """Update the existence probability of an *existing* row.
@@ -113,8 +113,7 @@ class ProbabilisticRelation:
         if r not in self._rows:
             raise SchemaError(f"no tuple {r!r} in relation {self.name}")
         self._rows[r] = p
-        for hook in self._hooks:
-            hook(self.name)
+        self._mutated()
 
     def remove(self, row: Iterable) -> None:
         """Delete an existing row from the relation.
@@ -128,8 +127,23 @@ class ProbabilisticRelation:
         if r not in self._rows:
             raise SchemaError(f"no tuple {r!r} in relation {self.name}")
         del self._rows[r]
+        self._mutated()
+
+    def _mutated(self) -> None:
+        self._mutations += 1
         for hook in self._hooks:
             hook(self.name)
+
+    @property
+    def mutations(self) -> int:
+        """Number of in-place mutations (:meth:`add`,
+        :meth:`set_probability`, :meth:`remove`) this object has seen.
+
+        Together with object identity it tells a cache whether an artifact
+        derived from the relation is still current: a transactional commit
+        installs a new object, an in-place mutation bumps this counter.
+        """
+        return self._mutations
 
     def subscribe(self, hook) -> None:
         """Register a mutation hook, called as ``hook(relation_name)`` after

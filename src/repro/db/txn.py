@@ -7,9 +7,10 @@ mutation API cannot give it:
    transaction is open must see the committed instance, unperturbed, for
    its whole evaluation — even if the transaction commits midway.
 2. **Transactional cache invalidation.** Mutation hooks (which flush the
-   :class:`~repro.circuit.CircuitCache` and the evaluators' base-encode
-   caches) must fire only when changes actually become visible. A rolled
-   back transaction must leave every warm cache intact.
+   :class:`~repro.circuit.CircuitCache` and drop base encodings, see
+   :class:`~repro.core.columnar.BaseEncoding`) must fire only when changes
+   actually become visible. A rolled back transaction must leave every warm
+   cache intact.
 
 :class:`Transaction` gets both from one mechanism: copy-on-write relation
 replacement. Writes are buffered in private working copies (created from

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import columnar as _columnar
-from repro.core.columnar import Comparison, ValueInterner
+from repro.core.columnar import BaseEncoding, Comparison
 from repro.core.plan import (
     Filter,
     Join,
@@ -224,7 +224,11 @@ class DissociationEvaluator:
     """
 
     def __init__(
-        self, db: ProbabilisticDatabase, *, engine: str = "columnar"
+        self,
+        db: ProbabilisticDatabase,
+        *,
+        engine: str = "columnar",
+        encoding: BaseEncoding | None = None,
     ) -> None:
         if engine not in ("columnar", "rows"):
             raise PlanError(
@@ -233,8 +237,10 @@ class DissociationEvaluator:
             )
         self.db = db
         self.engine = engine
-        self._interner = ValueInterner()
-        self._base_cache: dict = {}
+        #: The columnar engine's base-relation encodings; pass one to share
+        #: it (a server shares its own with every statement).
+        self.encoding = encoding if encoding is not None else BaseEncoding()
+        self._interner = self.encoding.interner
         #: Incremented per evaluation by the join splits (reset each call).
         self._dissociated = 0
 
@@ -277,15 +283,6 @@ class DissociationEvaluator:
         return self.evaluate(left_deep_plan(query, join_order))
 
     # ------------------------------------------------------- columnar operators
-    def _base_arrays(self, name: str):
-        base = self.db[name]
-        key = (name, id(base), len(base))
-        hit = self._base_cache.get(key)
-        if hit is None:
-            hit = _columnar.encode_base(base, self._interner)
-            self._base_cache[key] = hit
-        return hit
-
     def _eval(self, plan: Plan) -> _BoundsRel:
         if isinstance(plan, Scan):
             return self._scan(plan)
@@ -315,7 +312,7 @@ class DissociationEvaluator:
 
     def _scan(self, scan: Scan) -> _BoundsRel:
         base = self.db[scan.relation]
-        codes, probs = self._base_arrays(scan.relation)
+        codes, probs, _ = self.encoding.arrays(base)
         if scan.terms is None:
             return _BoundsRel(
                 base.schema.attributes, codes, probs, probs, self._interner

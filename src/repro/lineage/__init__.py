@@ -41,7 +41,6 @@ from repro.lineage.events import (
 )
 from repro.lineage.obdd import OBDD, build_obdd, default_variable_order, obdd_probability
 from repro.lineage.sampling import karp_luby, naive_monte_carlo
-from repro.lineage.treewidth import primal_graph, treewidth_exact, treewidth_upper_bound
 
 __all__ = [
     "EventVar",
@@ -69,3 +68,15 @@ __all__ = [
     "treewidth_exact",
     "treewidth_upper_bound",
 ]
+
+#: Public names of ``treewidth``, imported on first access: that module needs
+#: networkx, which nothing on the query path uses.
+_TREEWIDTH = ("primal_graph", "treewidth_exact", "treewidth_upper_bound")
+
+
+def __getattr__(name: str):
+    if name in _TREEWIDTH:
+        from repro.lineage import treewidth
+
+        return getattr(treewidth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

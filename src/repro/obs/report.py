@@ -69,7 +69,9 @@ class ExplainReport:
     #: measured seconds (plus, under a budget, the winning ladder rung and
     #: the degraded-target count).
     slices: list[dict] = field(default_factory=list)
-    #: Subformula-cache counters of the final inference (hit rates).
+    #: Subformula-cache counters of the final inference (hit rates), plus
+    #: the scans' base-encode hits and misses (``encode_hits`` /
+    #: ``encode_misses``): a miss is a scan that re-encoded its relation.
     cache: dict = field(default_factory=dict)
     #: Unified metrics snapshot of the run.
     metrics: dict = field(default_factory=dict)
@@ -199,6 +201,11 @@ class ExplainReport:
                 f"{self.cache.get('misses', 0)} misses "
                 f"(hit rate {self.cache.get('hit_rate', 0.0):.2%})"
             )
+            if "encode_misses" in self.cache:
+                lines.append(
+                    f"base encode: {self.cache['encode_hits']} scans reused "
+                    f"an encoding / {self.cache['encode_misses']} re-encoded"
+                )
         if self.circuits:
             lines.append("")
             lines.append(format_table(
@@ -527,7 +534,10 @@ def build_explain_report(
         component_sizes=component_sizes,
         operators=[stat.as_dict() for stat in result.stats],
         slices=slices,
-        cache=cache.stats.as_dict(),
+        cache={
+            **cache.stats.as_dict(),
+            **{f"encode_{k}": v for k, v in result.base_encode.items()},
+        },
         metrics=registry.snapshot(),
         degraded_answers=degraded_answers,
         budget=None if budget is None else {

@@ -6,20 +6,24 @@ fixes the left-deep plan; at request time it evaluates that plan against a
 database *snapshot* and reuses, across every request:
 
 * the parsed plan (no re-parsing, no re-optimising);
-* the evaluator's columnar **base-encode cache** (scans of an unchanged
-  relation reuse the dictionary-encoded code matrix);
 * a rename-invariant :class:`~repro.perf.SubformulaCache` for final
   inference (structurally repeated per-answer DNFs across requests hit);
 * a :class:`~repro.circuit.CircuitCache` for what-if re-scoring over the
   prepared plan's results.
 
+Base-relation encodings are not per statement: every statement of a
+:class:`~repro.serve.Server` scans through the server's one
+:class:`~repro.core.columnar.BaseEncoding`, whose entries are valid only for
+the relation objects they encoded. A commit installs new objects for the
+relations it touched, so exactly those re-encode on their next scan, once
+for all statements; a rolled-back transaction costs nothing.
+
 Only the operator-pipeline phase is serialised (one lock per prepared
-query: the evaluator's interner and base-encode cache are per-statement
-mutable state); the expensive final-inference phase runs outside the lock,
-so concurrent requests overlap where it matters. Commits invalidate
-structurally: the prepared query compares the database version it last saw
-and flushes the base-encode/circuit caches only when the committed state
-actually moved — a rolled-back transaction costs nothing.
+query: the evaluator is pointed at each request's snapshot); the expensive
+final-inference phase runs outside the lock, so concurrent requests overlap
+where it matters. A statement subscribes no database hook of its own: the
+server's single mutation hook flushes the circuit caches of its registered
+statements.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.core.columnar import BaseEncoding
 from repro.core.executor import EvaluationResult, PartialLineageEvaluator
 from repro.core.optimizer import choose_join_order
 from repro.core.plan import left_deep_plan
@@ -47,8 +52,8 @@ class PreparedQuery:
     text:
         Conjunctive-query text (``q(h) :- R(h,x), S(h,x,y)``).
     db:
-        The server's root database; the circuit cache watches its mutation
-        hooks so commits flush compiled circuits.
+        The server's root database (used to cost join orders; requests run
+        against snapshots of it).
     join_order:
         Explicit join order, or ``None``.
     optimize:
@@ -56,6 +61,9 @@ class PreparedQuery:
         prepare time with :func:`~repro.core.optimizer.choose_join_order`.
     engine:
         Operator backend (``"columnar"`` or ``"rows"``).
+    encoding:
+        The :class:`~repro.core.columnar.BaseEncoding` to scan through —
+        the server's shared one; by default the statement owns one.
     """
 
     def __init__(
@@ -67,6 +75,7 @@ class PreparedQuery:
         join_order: list[str] | None = None,
         optimize: bool = False,
         engine: str = "columnar",
+        encoding: BaseEncoding | None = None,
     ) -> None:
         self.name = name
         self.text = text
@@ -78,15 +87,16 @@ class PreparedQuery:
         self.plan = left_deep_plan(self.query, self.join_order)
         #: Shared final-inference cache; thread-safe, survives across requests.
         self.infer_cache = SubformulaCache()
-        #: Compiled-circuit cache for what-if analyses over this statement.
+        #: Compiled-circuit cache for what-if analyses over this statement;
+        #: the owning server's mutation hook flushes it.
         self.circuit_cache = CircuitCache()
-        # The evaluator wires the circuit cache into the root db's mutation
-        # hooks, so transactional commits (and direct adds) flush it.
         self._evaluator = PartialLineageEvaluator(
-            db, engine=engine, circuit_cache=self.circuit_cache
+            db, engine=engine, encoding=encoding
         )
+        # Set after construction: the constructor would subscribe the cache
+        # to the database's hooks, one subscription per statement.
+        self._evaluator.circuit_cache = self.circuit_cache
         self._lock = threading.Lock()
-        self._seen_version = db.version
         self.prepared_at = time.time()
         self.requests = 0
 
@@ -95,15 +105,11 @@ class PreparedQuery:
 
         Serialised per prepared query; the returned result's final
         inference (``answer_probabilities`` etc.) is thread-safe and runs
-        outside the lock. When the committed version moved since the last
-        request, the base-encode cache is flushed first — the structural
-        invalidation commit promises (rollbacks never get here because the
-        version never moves).
+        outside the lock. *version* identifies the snapshot to callers and
+        tracing only: nothing is flushed when it moves, because the base
+        encoding recognises the relations a commit replaced.
         """
         with self._lock:
-            if version != self._seen_version:
-                self._evaluator.invalidate_cache()
-                self._seen_version = version
             self._evaluator.db = snapshot
             result = self._evaluator.evaluate(self.plan, budget=budget)
             self.requests += 1

@@ -10,7 +10,8 @@ Request lifecycle for a query::
 
     admission (Scheduler.submit: deadline + queue bound, shed stamp)
       -> worker thread: snapshot capture (consistent relations + version)
-      -> prepared-statement pipeline (warm plan/base-encode caches)
+      -> prepared-statement pipeline (warm plan; the server's shared
+         base encoding)
       -> final inference by effective mode:
            exact  — answer_probabilities under the full budget
            ladder — resilient_answer_probabilities (sound enclosures,
@@ -29,6 +30,14 @@ error.
 Mutations go through sessions (:mod:`repro.serve.session`) and the
 database's buffered transactions: queries in flight keep their snapshot,
 caches flush only on commit, rollbacks are free.
+
+Every statement — prepared, ad-hoc, and the dissociation bounds behind
+mode ``bounds`` — scans through one
+:class:`~repro.core.columnar.BaseEncoding` that lives as long as the
+server, so a relation no commit touched is encoded once, on its first
+scan, for all of them. The server subscribes one mutation hook to the
+database, however many statements it serves: it drops a mutated relation's
+encodings and flushes the registered statements' circuit caches.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+from repro.core.columnar import BaseEncoding
 from repro.db import ProbabilisticDatabase
 from repro.dissociation import DissociationEvaluator
 from repro.errors import (
@@ -105,8 +115,20 @@ class Server:
         self.budget_template = budget_template
         self.pool_workers = pool_workers
         self.seed = seed
+        #: Base-relation encodings shared by every statement; encoded
+        #: lazily, on each relation's first scan.
+        self.encoding = BaseEncoding()
+        db.subscribe(self._on_mutation)
         self.started_at = time.time()
         self._closed = False
+
+    def _on_mutation(self, name: str) -> None:
+        """The server's one database hook: a commit or an in-place mutation
+        of relation *name* drops its encodings and flushes the compiled
+        circuits of the registered statements."""
+        self.encoding.invalidate(name)
+        for statement in list(self.prepared.values()):
+            statement.circuit_cache.invalidate(name)
 
     # ----------------------------------------------------------- statements
     def prepare(
@@ -121,6 +143,7 @@ class Server:
         statement = PreparedQuery(
             name, text, self.db,
             join_order=join_order, optimize=optimize, engine=self.engine,
+            encoding=self.encoding,
         )
         self.prepared[name] = statement
         self.registry.inc("serve.prepared")
@@ -137,8 +160,12 @@ class Server:
                 ) from None
         if text is None:
             raise ValueError("query request needs 'prepared' or 'query'")
-        # Ad-hoc text: full prepare cost, no registration, no warm reuse.
-        return PreparedQuery("<adhoc>", text, self.db, engine=self.engine)
+        # Ad-hoc text: parsed and planned per request and never registered;
+        # only the shared base encoding stays warm across requests.
+        return PreparedQuery(
+            "<adhoc>", text, self.db, engine=self.engine,
+            encoding=self.encoding,
+        )
 
     # -------------------------------------------------------------- queries
     def _request_budget(self, deadline: float | None) -> QueryBudget | None:
@@ -317,7 +344,7 @@ class Server:
 
     def _bounds_payload(self, statement, snapshot) -> dict:
         bounds = DissociationEvaluator(
-            snapshot, engine=self.engine
+            snapshot, engine=self.engine, encoding=self.encoding
         ).evaluate(statement.plan)
         inexact = sum(1 for b in bounds.bounds.values() if b.width > 0.0)
         return {
@@ -399,6 +426,7 @@ class Server:
             "prepared": {
                 name: p.describe() for name, p in sorted(self.prepared.items())
             },
+            "base_encoding": self.encoding.as_dict(),
             "counters": self.registry.snapshot()["counters"],
         }
 

@@ -10,11 +10,14 @@ random databases and plans.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import columnar
-from repro.core.columnar import ColumnarPLRelation, ValueInterner
+from repro.core.columnar import BaseEncoding, ColumnarPLRelation, ValueInterner
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.core.operators import (
@@ -29,7 +32,7 @@ from repro.core.operators import (
     select_where,
 )
 from repro.core.plrelation import PLRelation
-from repro.db import ProbabilisticDatabase
+from repro.db import ProbabilisticDatabase, ProbabilisticRelation
 from repro.errors import PlanError, ProbabilityError, SchemaError
 from repro.query.parser import parse_query
 
@@ -150,6 +153,48 @@ class TestValueInterner:
 
     def test_empty_column(self):
         assert ValueInterner().encode_column([]).size == 0
+
+
+class TestBaseEncoding:
+    def test_concurrent_encodes_agree(self):
+        # Threads encode fresh, overlapping relations through one shared
+        # encoding. A lost update in the interner would give a value two
+        # codes (or a code the wrong value); one in the cache, a wrong count.
+        encoding = BaseEncoding()
+        threads, rounds = 6, 40
+        failures: list[str] = []
+
+        def work(k: int) -> None:
+            for i in range(rounds):
+                base = (k + i) * 5
+                rows = {(v, f"s{v % 17}"): 0.5 for v in range(base, base + 30)}
+                rel = ProbabilisticRelation.create("R", ("A", "B"), rows)
+                for _ in range(2):  # a miss, then (usually) a hit
+                    codes, _, _ = encoding.arrays(rel)
+                    got = encoding.interner.decode_column(codes.reshape(-1))
+                    if got != [v for row in rows for v in row]:
+                        failures.append(f"thread {k} round {i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(k,)) for k in range(threads)
+            ]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        stats = encoding.as_dict()
+        assert stats["hits"] + stats["misses"] == threads * rounds * 2
+        assert stats["entries"] <= BaseEncoding.max_versions
+        distinct = {v for k in range(threads) for i in range(rounds)
+                    for v in range((k + i) * 5, (k + i) * 5 + 30)}
+        assert len(encoding.interner) == len(distinct) + 17
 
 
 # ---------------------------------------------------------------- bulk gates
@@ -537,12 +582,14 @@ class TestEngineKnob:
         db = self.make_db()
         query = parse_query("q(x) :- R(x), S(x,y)")
         ev = PartialLineageEvaluator(db, engine="columnar")
-        first = ev.evaluate_query(query).answer_probabilities()
-        assert ev._base_cache
-        again = ev.evaluate_query(query).answer_probabilities()
-        assert again == first
+        first = ev.evaluate_query(query)
+        assert first.base_encode == {"hits": 0, "misses": 2}
+        assert len(ev.encoding) == 2
+        again = ev.evaluate_query(query)
+        assert again.base_encode == {"hits": 2, "misses": 0}
+        assert again.answer_probabilities() == first.answer_probabilities()
         ev.invalidate_cache()
-        assert not ev._base_cache
+        assert not len(ev.encoding)
 
     def test_join_stats_record_wall_time(self):
         db = self.make_db()

@@ -1,11 +1,15 @@
 """Buffered transactions: atomicity, snapshot isolation, hook discipline."""
 
+import random
+
 import pytest
 
 from repro.circuit import CircuitCache
+from repro.core.columnar import BaseEncoding
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.plan import left_deep_plan
 from repro.db import ProbabilisticDatabase
+from repro.dissociation import DissociationEvaluator
 from repro.errors import (
     ProbabilityError,
     SchemaError,
@@ -168,17 +172,20 @@ class TestCacheInvalidation:
     def test_rollback_leaves_circuit_and_base_caches_intact(self, db):
         cache = CircuitCache()
         evaluator = PartialLineageEvaluator(db, circuit_cache=cache)
-        self._evaluate(evaluator)
-        base_keys = set(evaluator._base_cache)
-        assert base_keys  # warm after one evaluation
+        first = self._evaluate(evaluator)
+        encoding = evaluator.encoding
+        # Warm after one evaluation: both relations encoded once.
+        assert first.base_encode == {"hits": 0, "misses": 2}
+        assert len(encoding) == 2
         txn = db.begin()
         txn.insert("R", (3,), 0.25)
         txn.set_probability("S", (1, 1), 0.9)
         txn.rollback()
-        assert set(evaluator._base_cache) == base_keys
+        assert len(encoding) == 2
         # Second evaluation over the unchanged db reuses the encodings.
-        self._evaluate(evaluator)
-        assert set(evaluator._base_cache) == base_keys
+        again = self._evaluate(evaluator)
+        assert again.base_encode == {"hits": 2, "misses": 0}
+        assert len(encoding) == 2
 
     def test_commit_defeats_stale_encodings(self, db):
         evaluator = PartialLineageEvaluator(db, circuit_cache=CircuitCache())
@@ -194,6 +201,36 @@ class TestCacheInvalidation:
         ).answer_probabilities()
         assert after == cold
         assert after != before
+
+    def test_warm_evaluators_never_serve_stale_encodings(self):
+        # Each commit frees the previous relation object, so a cache keyed
+        # on id() would see the id reused and serve the old probabilities.
+        db = ProbabilisticDatabase()
+        db.add_relation("R", ("A",), {(i,): 0.5 for i in range(4)})
+        plan = left_deep_plan(parse_query("q(a) :- R(a)"), ["R"])
+        warm = PartialLineageEvaluator(db)
+        warm_bounds = DissociationEvaluator(db)
+        rng = random.Random(7)
+        for step in range(200):
+            with db.transaction() as txn:
+                txn.set_probability("R", (step % 4,), rng.uniform(0.05, 0.95))
+            cold = PartialLineageEvaluator(db).evaluate(plan)
+            assert (warm.evaluate(plan).answer_probabilities()
+                    == cold.answer_probabilities())
+            assert (warm_bounds.evaluate(plan).bounds
+                    == DissociationEvaluator(db).evaluate(plan).bounds)
+            assert len(warm.encoding) <= BaseEncoding.max_versions
+            assert len(warm_bounds.encoding) <= BaseEncoding.max_versions
+
+    def test_in_place_mutation_defeats_stale_encodings(self, db):
+        evaluator = PartialLineageEvaluator(db)
+        self._evaluate(evaluator)
+        db["R"].set_probability((1,), 0.9)
+        after = self._evaluate(evaluator)
+        assert after.base_encode == {"hits": 1, "misses": 1}
+        assert (after.answer_probabilities()
+                == self._evaluate(
+                    PartialLineageEvaluator(db)).answer_probabilities())
 
     def test_snapshot_evaluation_matches_pre_commit_answers(self, db):
         snap = db.snapshot()

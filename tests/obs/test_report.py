@@ -74,8 +74,18 @@ def test_format_renders_all_sections(db):
     for fragment in (
         "query:", "offending tuples per relation", "per-operator timings",
         "network components", "per-component inference", "subformula cache",
+        "base encode: 0 scans reused an encoding / 2 re-encoded",
     ):
         assert fragment in text, fragment
+
+
+def test_report_counts_base_encodes(db):
+    query = parse_query("q(x) :- R(x), S(x,y)")
+    report, _ = build_explain_report(db, query)
+    assert (report.cache["encode_hits"], report.cache["encode_misses"]) == (0, 2)
+    rows, _ = build_explain_report(db, query, engine="rows")
+    assert "encode_misses" not in rows.cache
+    assert "base encode" not in rows.format()
 
 
 def test_registry_and_tracing_are_shared(db):

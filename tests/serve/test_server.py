@@ -232,6 +232,81 @@ class TestProtocolDispatch:
         assert server.closed
 
 
+def hook_count(db) -> int:
+    """Database-wide plus per-relation mutation hooks of *db*."""
+    return len(db._hooks) + sum(len(rel._hooks) for rel in db)
+
+
+def answers(payload) -> dict:
+    return {tuple(a["row"]): a["probability"] for a in payload["answers"]}
+
+
+class TestSharedEncoding:
+    """One base encoding per server; no hook per statement."""
+
+    def test_adhoc_queries_and_reprepare_add_no_hooks(self, server, db):
+        hooks = hook_count(db)
+        for _ in range(1000):
+            server.query(text=QUERY)
+        for _ in range(3):
+            server.prepare("q", QUERY)
+        assert hook_count(db) == hooks
+        sid = server.begin()["session"]
+        server.set_prob(sid, "R", (1,), 0.75)
+        server.commit(sid)
+        assert hook_count(db) == hooks
+        assert answers(server.query(text=QUERY)) == oracle(db)
+
+    def test_statements_share_encodings(self, server, db):
+        server.query("q")
+        first = server.stats()["base_encoding"]
+        assert (first["hits"], first["misses"]) == (0, 2)
+        server.query(text=QUERY)
+        server.query("q", mode="bounds")
+        warm = server.stats()["base_encoding"]
+        assert (warm["hits"], warm["misses"]) == (4, 2)
+        assert warm["entries"] == 2
+
+    def test_commit_reencodes_only_touched_relations(self, server, db):
+        server.query("q")
+        sid = server.begin()["session"]
+        server.set_prob(sid, "R", (1,), 0.75)
+        server.commit(sid)
+        got = answers(server.query("q"))
+        stats = server.stats()["base_encoding"]
+        assert (stats["hits"], stats["misses"]) == (1, 3)
+        assert got == oracle(db)
+
+    def test_rollback_keeps_encodings_warm(self, server, db):
+        server.query("q")
+        sid = server.begin()["session"]
+        server.set_prob(sid, "R", (1,), 0.75)
+        server.rollback(sid)
+        server.query("q")
+        stats = server.stats()["base_encoding"]
+        assert (stats["hits"], stats["misses"]) == (2, 2)
+
+    def test_in_place_mutation_drops_the_encoding(self, server, db):
+        server.query("q")
+        db["S"].add((7, 3), 0.5)
+        db["R"].add((7,), 0.5)
+        assert server.stats()["base_encoding"]["entries"] == 0
+        got = answers(server.query("q"))
+        assert got == oracle(db)
+        assert (7,) in got
+
+    def test_flight_record_counts_base_encodes(self, server):
+        from repro.obs.telemetry import flight_recorder
+
+        with flight_recorder() as rec:
+            server.query("q", mode="exact")
+            server.query("q", mode="exact")
+        caches = [r["cache"] for r in rec.records if r["kind"] == "query"]
+        assert [(c["encode_hits"], c["encode_misses"]) for c in caches] == [
+            (0, 2), (2, 0)
+        ]
+
+
 class TestStatsAndWorkload:
     def test_stats_shape(self, server):
         server.query("q")
