@@ -9,9 +9,9 @@ network:
 * ``serial`` — the pre-slicing oracle: one
   :func:`repro.core.inference.compute_marginal` call per answer, each paying
   its own ancestor walk and width estimation;
-* ``sliced`` — :func:`repro.perf.parallel.sliced_marginals`: one union-find
-  over the network, one component extraction + early-exit width probe +
-  solve per answer component, all in-process;
+* ``sliced`` — :func:`repro.perf.parallel.parallel_marginals` without
+  workers: one union-find over the network, one component extraction +
+  early-exit width probe + solve per answer component, all in-process;
 * ``parallel-w{k}`` — :func:`repro.perf.parallel.parallel_marginals` with a
   ``ProcessPoolExecutor`` of ``k`` workers (the benchmark forces fan-out by
   zeroing the small-workload cost threshold — the point is to measure pool
@@ -53,7 +53,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf.parallel import (
     group_by_component,
     parallel_marginals,
-    sliced_marginals,
 )
 from repro.workload.generator import WorkloadParams, generate_database
 from repro.workload.queries import TABLE1_QUERIES
@@ -84,7 +83,7 @@ def _time_strategies(
 
     gc.collect()
     start = time.perf_counter()
-    sliced = sliced_marginals(net, nodes, dpll_max_calls=max_calls)
+    sliced = parallel_marginals(net, nodes, dpll_max_calls=max_calls)
     sliced_seconds = time.perf_counter() - start
 
     def deviation(marginals) -> float:

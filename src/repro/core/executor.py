@@ -112,6 +112,10 @@ class EvaluationResult:
     #: :class:`~repro.core.columnar.BaseEncoding` (``hits``) or encoded
     #: (``misses``); empty for engines that do not encode
     base_encode: dict = field(default_factory=dict)
+    #: memo of :meth:`_component_works`
+    _works: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def whatif(self, *, circuit_cache=None, budget=None):
         """A :class:`~repro.core.whatif.WhatIfAnalysis` over this result.
@@ -145,6 +149,7 @@ class EvaluationResult:
         self, kind: str, *, seconds: float, answers: int,
         inference: str = "", rungs: dict | None = None, degraded: int = 0,
         cache=None, budget=None, workers=None, error: str | None = None,
+        routes=(),
     ) -> dict:
         """Append one :mod:`repro.obs.telemetry` record for this result.
 
@@ -154,6 +159,8 @@ class EvaluationResult:
         carries the subformula-cache counters of *cache* plus this
         evaluation's base-encode hits and misses (``encode_hits`` /
         ``encode_misses``), so the log shows whether its scans re-encoded.
+        *routes* are the components' inference routes, counted into the
+        record's ``paths`` block.
         """
         from repro.obs import telemetry
 
@@ -174,12 +181,24 @@ class EvaluationResult:
             network_nodes=len(self.network),
             operators=telemetry.operator_dicts(self.stats),
             rungs=dict(rungs or {}),
+            paths=telemetry.path_counts(routes),
             degraded=degraded,
             cache=cache_block,
             budget=telemetry.budget_dict(budget),
             workers=workers if workers is not None else self.workers,
             error=error,
         )
+
+    def _component_works(self) -> list:
+        """The answers' components, grouped and width-probed once: the
+        exact attempt and a ladder fallback after it share them."""
+        if self._works is None:
+            from repro.perf import parallel
+
+            self._works = parallel.group_by_component(
+                self.network, [l for _, l, _ in self.relation.items()]
+            )
+        return self._works
 
     @property
     def is_data_safe(self) -> bool:
@@ -252,21 +271,29 @@ class EvaluationResult:
     ) -> dict[Row, float]:
         from repro.core.junction import all_marginals
         from repro.core.treeprop import is_tree_factorable, tree_marginals
-        from repro.perf.parallel import parallel_marginals
+        from repro.perf.parallel import (
+            DEFAULT_MIN_PARALLEL_COST,
+            ExactSolve,
+            drive_components,
+        )
 
         marginals: dict[int, float]
+        routes = ()
         with _span(
             "answer_probabilities", engine=engine, nodes=len(self.network)
         ) as sp:
-            if engine == "tree" or (
-                engine == "auto" and is_tree_factorable(self.network)
-            ):
+            if engine == "auto":
+                with _span("tree_check"):
+                    tree = is_tree_factorable(self.network)
+            if engine == "tree" or (engine == "auto" and tree):
                 sp.annotate(path="tree")
+                routes = ["tree"]
                 marginals = tree_marginals(
                     self.network, check=engine == "tree"
                 )
             elif engine == "junction":
                 sp.annotate(path="junction")
+                routes = ["junction"]
                 marginals = all_marginals(self.network, nodes)
             elif engine == "serial":
                 sp.annotate(path="serial")
@@ -279,21 +306,23 @@ class EvaluationResult:
                         )
             else:
                 sp.annotate(path="sliced")
-                marginals = parallel_marginals(
-                    self.network,
-                    nodes,
+                marginals, records = drive_components(
+                    "parallel_marginals",
+                    self._component_works,
+                    ExactSolve(engine, dpll_max_calls),
                     workers=workers if workers is not None else self.workers,
-                    engine=engine,
-                    dpll_max_calls=dpll_max_calls,
                     cache=cache,
                     budget=budget,
+                    min_parallel_cost=DEFAULT_MIN_PARALLEL_COST,
+                    engine=engine,
                 )
+                routes = [r["engine"] for r in records]
             sp.add("answers", len(rows))
         answers = {row: p * marginals[l] for row, l, p in rows}
         self.record_flight(
             "query", seconds=time.perf_counter() - flight_start,
             answers=len(answers), inference=engine,
-            rungs={"exact": len(answers)},
+            rungs={"exact": len(answers)}, routes=routes,
             cache=cache, budget=budget, workers=workers,
         )
         return answers
@@ -306,7 +335,6 @@ class EvaluationResult:
         cache=None,
         timeout: float | None = None,
         max_retries: int = 2,
-        chunks_per_worker: int = 4,
         fault_plan=None,
         registry=None,
         seed: int = 0,
@@ -331,26 +359,28 @@ class EvaluationResult:
         :func:`repro.resilience.execute.resilient_marginals`); *fault_plan*
         injects deterministic failures for chaos tests, and *seed* fixes
         the sampling rung's randomness so parallel, serial, and retried
-        runs agree bit-for-bit.
+        runs agree bit-for-bit. The components are the ones an earlier
+        :meth:`answer_probabilities` call on this result already grouped
+        and probed, when there was one.
         """
-        from repro.resilience.execute import resilient_marginals
+        from repro.perf.parallel import drive_components
+        from repro.resilience.execute import LadderSolve
         from repro.resilience.ladder import AnswerResult
 
         budget = budget if budget is not None else self.budget
         rows = list(self.relation.items())
         flight_start = time.perf_counter()
-        outcomes = resilient_marginals(
-            self.network,
-            [l for _, l, _ in rows],
-            budget=budget,
+        outcomes, records = drive_components(
+            "resilient_marginals",
+            self._component_works,
+            LadderSolve(seed),
             workers=workers if workers is not None else self.workers,
             cache=cache,
+            budget=budget,
+            registry=registry,
             timeout=timeout,
             max_retries=max_retries,
-            chunks_per_worker=chunks_per_worker,
             fault_plan=fault_plan,
-            registry=registry,
-            seed=seed,
         )
         answers = {
             row: AnswerResult.from_marginal(row, p, outcomes[l])
@@ -362,6 +392,7 @@ class EvaluationResult:
         self.record_flight(
             "ladder", seconds=time.perf_counter() - flight_start,
             answers=len(answers), inference="ladder", rungs=rungs,
+            routes=[r["engine"] for r in records],
             degraded=sum(1 for a in answers.values() if a.degraded),
             cache=cache, budget=budget, workers=workers,
         )

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from repro.core.executor import PartialLineageEvaluator
 from repro.core.explain import explain as explain_plan
 from repro.core.plan import left_deep_plan
-from repro.core.treeprop import is_tree_factorable
 from repro.db.database import ProbabilisticDatabase
 from repro.db.schema import Row
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import add, annotate, span
 from repro.perf.cache import SubformulaCache
-from repro.perf.parallel import group_by_component, solve_slice
+from repro.perf.parallel import ExactSolve, drive_components, group_by_component
 from repro.query.syntax import ConjunctiveQuery
 
 __all__ = ["ExplainReport", "build_explain_report"]
@@ -42,7 +41,7 @@ class ExplainReport:
     evaluation purely extensional, Sec. 4); ``component_sizes`` is the
     partial-lineage decomposition of Sec. 4.2 (many small components ⇔
     near-extensional, one giant component ⇔ intensional-hard);
-    ``slices`` records, per component, the inference engine chosen and the
+    ``slices`` records, per component, the route the solve took and the
     scheduling cost estimate of :func:`repro.perf.parallel
     .estimate_component` against the measured solve time.
     """
@@ -65,7 +64,8 @@ class ExplainReport:
     component_sizes: dict[int, int] = field(default_factory=dict)
     #: Per-operator accounting (``OperatorStat.as_dict()`` rows).
     operators: list[dict] = field(default_factory=list)
-    #: Per-component solve records: size, targets, engine, estimated cost,
+    #: Per-component solve records: size, targets, engine (the route
+    #: :func:`~repro.perf.parallel.solve_slice` took), estimated cost,
     #: measured seconds (plus, under a budget, the winning ladder rung and
     #: the degraded-target count).
     slices: list[dict] = field(default_factory=list)
@@ -293,10 +293,14 @@ def build_explain_report(
     records per-answer bound widths, certified-out vs refined counts, and
     the wall-clock saved against the exact-all inference it just measured.
 
-    Returns ``(report, answers)``. Inference runs component-sliced and
-    in-process regardless of *workers* — per-slice wall-clocks are the
-    point of the report, and a process pool would hide them; *workers* is
-    recorded so the report reflects the configuration it explains.
+    Returns ``(report, answers)``. Inference runs through the component
+    driver (:func:`repro.perf.parallel.drive_components`) in-process
+    regardless of *workers* — per-slice wall-clocks are the point of the
+    report, and a process pool would hide them; *workers* is recorded so
+    the report reflects the configuration it explains. Each slice record
+    is the driver's: its ``engine`` is the route
+    :func:`~repro.perf.parallel.solve_slice` actually took, never a
+    re-derivation.
 
     With a *budget* (a :class:`~repro.resilience.QueryBudget`) every slice
     solves through the degradation ladder instead: hard components degrade
@@ -337,70 +341,29 @@ def build_explain_report(
         rows = list(result.relation.items())
         nodes = [l for _, l, _ in rows]
         cache = SubformulaCache()
+        if budget is None:
+            solve = ExactSolve("auto", dpll_max_calls)
+        else:
+            from repro.resilience.execute import LadderSolve
+
+            solve = LadderSolve()
         start = time.perf_counter()
-        works = group_by_component(result.network, nodes)
-        marginals = {0: 1.0}  # EPSILON
-        slices: list[dict] = []
-        degraded_answers = 0
-        if budget is not None:
-            from repro.resilience.execute import exact_fractions
-
-            budget = budget.start()
-            fractions = exact_fractions(works)
-        for index, work in enumerate(works):
-            tree = is_tree_factorable(work.slice.network)
-            slice_engine = "tree" if tree else ("ve" if work.narrow else "dpll")
-            t0 = time.perf_counter()
-            record = {
-                "size": len(work.slice.network) - 1,  # slice minus ε
-                "targets": len(work.targets),
-                "engine": slice_engine,
-                "estimated_cost": work.cost,
-            }
-            with span("explain_slice", engine=slice_engine) as s:
-                if budget is not None:
-                    from repro.resilience.ladder import (
-                        resilient_component_marginals,
-                    )
-
-                    outcomes = resilient_component_marginals(
-                        work.slice.network,
-                        work.targets,
-                        budget=budget,
-                        cache=cache,
-                        registry=registry,
-                        narrow=work.narrow,
-                        exact_fraction=fractions[index],
-                        est_cost=work.cost,
-                    )
-                    solved = {t: o.midpoint for t, o in outcomes.items()}
-                    degraded = sum(
-                        1 for o in outcomes.values() if o.degraded
-                    )
-                    degraded_answers += degraded
-                    record["degraded"] = degraded
-                    record["rung"] = next(
-                        (o.method for o in outcomes.values() if o.degraded),
-                        "exact",
-                    )
-                else:
-                    solved = solve_slice(
-                        work.slice.network,
-                        work.targets,
-                        "auto",
-                        dpll_max_calls,
-                        cache,
-                        narrow=work.narrow,
-                    )
-                s.add("targets", len(work.targets))
-            seconds = time.perf_counter() - t0
-            for sub, prob in solved.items():
-                marginals[work.slice.to_orig(sub)] = prob
-            record["seconds"] = seconds
-            slices.append(record)
-            registry.observe("slice.estimated_cost", work.cost)
-            registry.observe("slice.seconds", seconds)
+        marginals, slices = drive_components(
+            "parallel_marginals" if budget is None else "resilient_marginals",
+            lambda: group_by_component(result.network, nodes),
+            solve,
+            cache=cache,
+            budget=budget,
+            registry=registry,
+            slice_span="explain_slice",
+        )
         inference_seconds = time.perf_counter() - start
+        if budget is not None:
+            marginals = {v: o.midpoint for v, o in marginals.items()}
+        degraded_answers = sum(r.get("degraded", 0) for r in slices)
+        for record in slices:
+            registry.observe("slice.estimated_cost", record["estimated_cost"])
+            registry.observe("slice.seconds", record["seconds"])
         answers = {row: p * marginals[l] for row, l, p in rows}
         annotate(answers=len(answers))
         add("offending", result.offending_count)

@@ -57,6 +57,7 @@ __all__ = [
     "flight_recorder",
     "record",
     "query_hash",
+    "path_counts",
     "read_flight_log",
     "validate_flight_records",
 ]
@@ -71,6 +72,10 @@ STAMPED_FIELDS = ("v", "seq", "ts", "pid", "kind")
 #: the rung/engine/cache/budget telemetry block.
 QUERY_KINDS = ("query", "sql", "ladder")
 
+#: The routes of :func:`repro.perf.parallel.solve_slice`, counted per
+#: record in ``paths``.
+INFERENCE_PATHS = ("tree", "ve", "junction", "dpll")
+
 #: The telemetry block every query-level record carries (defaulted by
 #: :meth:`FlightRecorder.record` so emitters only set what they know).
 QUERY_FIELD_DEFAULTS: dict = {
@@ -83,6 +88,7 @@ QUERY_FIELD_DEFAULTS: dict = {
     "network_nodes": 0,
     "operators": [],
     "rungs": {},
+    "paths": dict.fromkeys(INFERENCE_PATHS, 0),
     "degraded": 0,
     "cache": {},
     "budget": {},
@@ -261,7 +267,8 @@ def validate_flight_records(source) -> list[str]:
     :class:`FlightRecorder`. Checks the shape the ``telemetry-smoke`` CI job
     relies on: every record carries the stamped fields with the current
     schema version, sequence numbers increase strictly, kinds are known, and
-    query-level records carry the full rung/engine/cache/budget block.
+    query-level records carry the full rung/engine/cache/budget block plus
+    per-route component counts (``paths``).
 
     Examples
     --------
@@ -307,13 +314,21 @@ def validate_flight_records(source) -> list[str]:
             for field, type_ in (
                 ("query_hash", str), ("engine", str), ("seconds", (int, float)),
                 ("answers", int), ("offending", int), ("network_nodes", int),
-                ("operators", list), ("rungs", dict), ("degraded", int),
+                ("operators", list), ("rungs", dict), ("paths", dict),
+                ("degraded", int),
                 ("cache", dict), ("budget", dict),
             ):
                 if field in rec:
                     problem = _check_block(rec, where, field, type_)
                     if problem:
                         errors.append(problem)
+            paths = rec.get("paths")
+            if isinstance(paths, dict) and (
+                set(paths) != set(INFERENCE_PATHS)
+                or not all(type(n) is int and n >= 0 for n in paths.values())
+            ):
+                errors.append(f"{where}: field 'paths' must count components "
+                              f"per route {list(INFERENCE_PATHS)}, got {paths!r}")
         elif rec["kind"] == "pool_chunk":
             for field, type_ in (("chunk", int), ("attempts", int),
                                  ("requeued_serial", bool), ("events", list)):
@@ -338,6 +353,16 @@ def validate_flight_records(source) -> list[str]:
 
 
 # ------------------------------------------------------------ record builders
+def path_counts(routes) -> dict:
+    """The ``paths`` block: components per :data:`INFERENCE_PATHS` route
+    (other values, e.g. a skipped exact rung's ``""``, count nowhere)."""
+    counts = dict.fromkeys(INFERENCE_PATHS, 0)
+    for route in routes:
+        if route in counts:
+            counts[route] += 1
+    return counts
+
+
 def budget_dict(budget) -> dict:
     """The ``budget`` block of a record from a
     :class:`~repro.resilience.QueryBudget` (``{}`` when unbudgeted)."""

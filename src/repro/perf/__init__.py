@@ -5,15 +5,15 @@ the state that is worth keeping *between* calls — most importantly the
 canonical-key subformula cache that lets the DPLL solver and the OBDD
 builder reuse results across the N per-answer lineages of a multi-answer
 query (Section 6.1's "N Boolean queries" view) — plus the component-sliced,
-process-parallel marginal drivers built on that cache
+process-parallel component driver built on that cache
 (:mod:`repro.perf.parallel`).
 """
 
 from repro.perf.cache import CacheStats, SubformulaCache, canonical_key
 from repro.perf.parallel import (
     DEFAULT_MIN_PARALLEL_COST,
+    drive_components,
     parallel_marginals,
-    sliced_marginals,
     solve_slice,
 )
 
@@ -22,7 +22,7 @@ __all__ = [
     "SubformulaCache",
     "canonical_key",
     "DEFAULT_MIN_PARALLEL_COST",
+    "drive_components",
     "parallel_marginals",
-    "sliced_marginals",
     "solve_slice",
 ]

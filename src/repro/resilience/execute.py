@@ -1,14 +1,17 @@
-"""Resilient final inference: the ladder, component-sliced and pool-backed.
+"""Resilient final inference: the ladder as the component driver's solve.
 
-:func:`resilient_marginals` is the degradation-aware counterpart of
-:func:`repro.perf.parallel.parallel_marginals`: the same
-group-by-component slicing and LPT cost chunking, but every component
-solves through the :mod:`~repro.resilience.ladder` (so hard components
-return sound intervals instead of raising) and the process fan-out runs on
-the fault-tolerant :func:`~repro.resilience.pool.run_chunks` dispatcher
-(so worker crashes, stuck workers, and poisoned results retry and finally
-requeue to the serial path). One hard component never blanks the other
-answers; one dead worker never blanks its chunk.
+:func:`resilient_marginals` is :func:`repro.perf.parallel.parallel_marginals`
+with one difference: every component solves through the
+:mod:`~repro.resilience.ladder` (:class:`LadderSolve`), so hard components
+return sound intervals instead of raising. Grouping, the serial loop, the
+fault-tolerant fan-out (worker crashes, stuck workers and poisoned results
+retry and finally requeue to the serial path), id mapping and cache
+merge-back are the one driver's,
+:func:`~repro.perf.parallel.drive_components`. One hard component never
+blanks the other answers; one dead worker never blanks its chunk. Unlike
+the exact path there is no cost threshold: the caller asked for resilience
+explicitly, and tiny workloads are exactly the ones whose pool startup cost
+does not matter.
 
 Determinism: each component's sampling rung seeds its own
 ``random.Random`` from ``(seed, original first target id)``, so the pool
@@ -19,18 +22,16 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, replace
 
-from repro.core.network import EPSILON, AndOrNetwork
-from repro.obs.trace import Tracer, current_tracer
-from repro.obs.trace import span as _span
+from repro.core.network import AndOrNetwork
 from repro.perf.cache import SubformulaCache
-from repro.perf.parallel import _chunk_by_cost, group_by_component
+from repro.perf.parallel import ComponentSolve, drive_components, group_by_component
 from repro.resilience.budget import QueryBudget
-from repro.resilience.faults import FaultPlan, apply_fault
+from repro.resilience.faults import FaultPlan
 from repro.resilience.ladder import MarginalOutcome, resilient_component_marginals
-from repro.resilience.pool import run_chunks
 
-__all__ = ["exact_fractions", "resilient_marginals"]
+__all__ = ["LadderSolve", "exact_fractions", "resilient_marginals"]
 
 
 def _component_rng(seed: int, rng_key: int) -> random.Random:
@@ -58,66 +59,58 @@ def exact_fractions(works) -> list[float]:
     return fractions
 
 
-def _validate_outcomes(result) -> str | None:
-    """Reject chunk results whose enclosures are not finite sound intervals
-    (the NaN-poisoning chaos scenario: corruption must retry, not merge)."""
-    solved_list, _entries, _spans = result
-    for solved in solved_list:
-        for outcome in solved.values():
-            if not (
-                math.isfinite(outcome.lower)
-                and math.isfinite(outcome.upper)
-                and outcome.lower <= outcome.upper
-            ):
-                return "poisoned_result"
-    return None
+@dataclass(frozen=True)
+class LadderSolve(ComponentSolve):
+    """The ladder as a per-component solve for the component driver.
 
-
-def _resilient_chunk(payload):
-    """Worker entry point: ladder-solve a list of component tasks.
-
-    Applies the chunk's injected fault first (chaos tests only), then
-    solves each ``(subnet, targets, narrow, rng_key, exact_fraction,
-    est_cost)`` task with a fresh subformula cache, returning the outcome
-    dicts, the cache entries for merge-back, and — when the parent traced —
-    the local span forest.
+    Runs :func:`~repro.resilience.ladder.resilient_component_marginals`
+    with the component's own sampling seed (from *seed*) and its
+    :func:`exact_fractions` deadline slice (bound by :meth:`prepare`).
+    Values are :class:`~repro.resilience.ladder.MarginalOutcome`
+    enclosures; the record names the route the exact rung took plus the
+    winning ``rung`` and the ``degraded`` target count.
     """
-    tasks, budget, seed, traced, chunk, attempt, fault_plan = payload
-    fault = None if fault_plan is None else fault_plan.for_chunk(chunk, attempt)
-    poison = apply_fault(fault)
-    budget = budget.start() if budget is not None else None
-    cache = SubformulaCache()
 
-    def solve_all():
-        return [
-            resilient_component_marginals(
-                subnet,
-                targets,
-                budget=budget,
-                cache=cache,
-                rng=_component_rng(seed, rng_key),
-                narrow=narrow,
-                exact_fraction=fraction,
-                est_cost=est_cost,
-            )
-            for subnet, targets, narrow, rng_key, fraction, est_cost in tasks
-        ]
+    seed: int = 0
+    #: Exact-rung deadline slice per component, in grouping order.
+    fractions: tuple[float, ...] = ()
 
-    if traced:
-        with Tracer() as tracer:
-            with tracer.span("worker_chunk", tasks=len(tasks), resilient=True):
-                solved = solve_all()
-        spans = tracer.roots
-    else:
-        solved = solve_all()
-        spans = []
-    if poison:
-        solved = [
-            {t: MarginalOutcome(math.nan, math.nan, o.method, o.exact, o.steps)
-             for t, o in d.items()}
-            for d in solved
-        ]
-    return solved, cache.entries(), spans
+    @property
+    def epsilon(self) -> MarginalOutcome:
+        return MarginalOutcome(1.0, 1.0, "exact", True)
+
+    def prepare(self, works) -> "LadderSolve":
+        return replace(self, fractions=tuple(exact_fractions(works)))
+
+    def __call__(self, work, index, cache, budget, registry):
+        outcomes = resilient_component_marginals(
+            work.slice.network,
+            work.targets,
+            budget=budget,
+            cache=cache,
+            rng=_component_rng(self.seed, work.slice.to_orig(work.targets[0])),
+            registry=registry,
+            narrow=work.narrow,
+            exact_fraction=self.fractions[index],
+            est_cost=work.cost,
+        )
+        degraded = [o.method for o in outcomes.values() if o.degraded]
+        return outcomes, {
+            "engine": outcomes.path,
+            "rung": degraded[0] if degraded else "exact",
+            "degraded": len(degraded),
+        }
+
+    def sound(self, outcome) -> bool:
+        """Finite, ordered enclosures only (NaN poisoning must retry)."""
+        return (
+            math.isfinite(outcome.lower)
+            and math.isfinite(outcome.upper)
+            and outcome.lower <= outcome.upper
+        )
+
+    def poison(self, outcome) -> MarginalOutcome:
+        return replace(outcome, lower=math.nan, upper=math.nan)
 
 
 def resilient_marginals(
@@ -129,125 +122,32 @@ def resilient_marginals(
     cache: SubformulaCache | None = None,
     timeout: float | None = None,
     max_retries: int = 2,
-    chunks_per_worker: int = 4,
     fault_plan: FaultPlan | None = None,
     registry=None,
     seed: int = 0,
 ) -> dict[int, MarginalOutcome]:
     """Sound marginal enclosures of *nodes*, degradation- and fault-tolerant.
 
-    Serial (``workers`` unset or < 2, or a single component): every
-    component ladder-solves in-process. Parallel: components are packed
-    into cost-balanced chunks and dispatched through
-    :func:`~repro.resilience.pool.run_chunks` with per-dispatch *timeout*,
-    *max_retries* pool rounds, and serial requeue — so the call returns an
-    outcome for **every** node no matter which workers die. *fault_plan*
-    deterministically injects failures (chaos tests).
-
-    Unlike the exact path there is no cost threshold: the caller asked for
-    resilience explicitly, and tiny workloads are exactly the ones whose
-    pool startup cost does not matter.
+    :func:`~repro.perf.parallel.drive_components` with :class:`LadderSolve`
+    under a ``resilient_marginals`` span. Serial (``workers`` unset or
+    < 2, or a single component): every component ladder-solves in-process.
+    Parallel: components are packed into cost-balanced chunks and
+    dispatched through :func:`~repro.resilience.pool.run_chunks` with
+    per-dispatch *timeout*, *max_retries* pool rounds, and serial requeue —
+    so the call returns an outcome for **every** node no matter which
+    workers die. *fault_plan* deterministically injects failures (chaos
+    tests).
     """
-    budget = (budget or QueryBudget()).start()
-    works = group_by_component(net, nodes)
-    out: dict[int, MarginalOutcome] = {
-        EPSILON: MarginalOutcome(1.0, 1.0, "exact", True)
-    }
-    parallel = workers is not None and workers >= 2 and len(works) >= 2
-    with _span(
+    outcomes, _records = drive_components(
         "resilient_marginals",
-        components=len(works),
-        mode="parallel" if parallel else "serial",
-    ) as sp:
-        if registry is not None:
-            registry.gauge("resilience.components", len(works))
-        if cache is None:
-            cache = SubformulaCache()
-        fractions = exact_fractions(works)
-        if not parallel:
-            for work, fraction in zip(works, fractions):
-                solved = resilient_component_marginals(
-                    work.slice.network,
-                    work.targets,
-                    budget=budget,
-                    cache=cache,
-                    rng=_component_rng(seed, work.slice.to_orig(work.targets[0])),
-                    registry=registry,
-                    narrow=work.narrow,
-                    exact_fraction=fraction,
-                    est_cost=work.cost,
-                )
-                for sub, outcome in solved.items():
-                    out[work.slice.to_orig(sub)] = outcome
-            return out
-
-        chunks = _chunk_by_cost(works, workers * chunks_per_worker)
-        sp.annotate(workers=workers, chunks=len(chunks))
-        if registry is not None:
-            registry.gauge("pool.workers", workers)
-            registry.inc("pool.dispatches")
-        tracer = current_tracer()
-
-        def chunk_tasks(members):
-            return [
-                (
-                    works[i].slice.network,
-                    works[i].targets,
-                    works[i].narrow,
-                    works[i].slice.to_orig(works[i].targets[0]),
-                    fractions[i],
-                    works[i].cost,
-                )
-                for i in members
-            ]
-
-        def payload_fn(index, attempt):
-            return (
-                chunk_tasks(chunks[index]),
-                budget.for_worker(),
-                seed,
-                tracer is not None,
-                index,
-                attempt,
-                fault_plan,
-            )
-
-        def serial_fn(index):
-            solved = [
-                resilient_component_marginals(
-                    subnet,
-                    targets,
-                    budget=budget,
-                    cache=cache,
-                    rng=_component_rng(seed, rng_key),
-                    registry=registry,
-                    narrow=narrow,
-                    exact_fraction=fraction,
-                    est_cost=est_cost,
-                )
-                for subnet, targets, narrow, rng_key, fraction, est_cost
-                in chunk_tasks(chunks[index])
-            ]
-            return solved, [], []
-
-        outcomes = run_chunks(
-            _resilient_chunk,
-            payload_fn,
-            len(chunks),
-            workers=workers,
-            serial_fn=serial_fn,
-            timeout=timeout,
-            max_retries=max_retries,
-            validate=_validate_outcomes,
-            registry=registry,
-        )
-        for index, chunk_outcome in enumerate(outcomes):
-            solved_list, entries, worker_spans = chunk_outcome.result
-            for i, solved in zip(chunks[index], solved_list):
-                for sub, outcome in solved.items():
-                    out[works[i].slice.to_orig(sub)] = outcome
-            if entries:
-                cache.merge(entries)
-            if worker_spans and tracer is not None:
-                tracer.attach(worker_spans, under=sp.span)
-    return out
+        lambda: group_by_component(net, nodes),
+        LadderSolve(seed),
+        workers=workers,
+        cache=cache,
+        budget=budget,
+        registry=registry,
+        timeout=timeout,
+        max_retries=max_retries,
+        fault_plan=fault_plan,
+    )
+    return outcomes

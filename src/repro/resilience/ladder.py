@@ -236,12 +236,15 @@ def resilient_component_marginals(
     through OBDD, interval bounds, and sampling, intersecting with the
     dissociation prior. Only genuine bugs
     (non-:class:`~repro.errors.ReproError` exceptions) propagate.
+
+    The result's ``path`` is the route the exact rung took — whether it
+    answered or failed — or ``""`` when the rung was skipped.
     """
-    from repro.perf.parallel import solve_slice
+    from repro.perf.parallel import SliceResult, solve_slice
 
     budget = (budget or QueryBudget()).start()
     rng = rng or random.Random(0)
-    out: dict[int, MarginalOutcome] = {}
+    out = SliceResult()
     with _span("ladder", nodes=len(subnet), targets=len(targets)) as sp:
         # Rung 1 — exact, on a slice of the remaining deadline.
         steps: list[DegradationStep] = []
@@ -270,9 +273,11 @@ def resilient_component_marginals(
                     budget=budget.sub(exact_fraction),
                 )
             except _RECOVERABLE as exc:
+                out.path = getattr(exc, "slice_path", "")
                 _step(steps, registry, "exact", "failed", _reason(exc), started)
                 sp.annotate(exact="failed")
             else:
+                out.path = solved.path
                 _step(steps, registry, "exact", "ok", "", started)
                 for t in targets:
                     out[t] = MarginalOutcome(

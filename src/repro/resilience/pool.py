@@ -1,8 +1,9 @@
 """Fault-tolerant process-pool dispatch.
 
-:func:`run_chunks` is the retry/timeout engine under
-:func:`repro.perf.parallel.parallel_marginals`: it fans chunk payloads out
-over a ``ProcessPoolExecutor`` and survives the failure modes a plain
+:func:`run_chunks` is the retry/timeout engine under the one component
+driver, :func:`repro.perf.parallel.drive_components` — the exact path and
+the degradation ladder alike: it fans chunk payloads out over a
+``ProcessPoolExecutor`` and survives the failure modes a plain
 ``future.result()`` loop does not —
 
 * **worker crashes** (``BrokenProcessPool``): every future of the broken

@@ -104,3 +104,56 @@ def test_explicit_join_order_is_recorded(db):
         db, parse_query("q(x) :- R(x), S(x,y)"), join_order=["S", "R"]
     )
     assert report.join_order == ["S", "R"]
+
+
+def shared_t_database() -> ProbabilisticDatabase:
+    """``q(x) :- R(x), S(x,y), T(y)`` with S the full 3x2 bipartite
+    relation: every answer shares the T tuples, so the network is one
+    narrow component with three targets (the ``junction`` route)."""
+    db = ProbabilisticDatabase()
+    db.add_relation("R", ("A",), {(x,): 0.3 + 0.1 * x for x in range(3)})
+    db.add_relation(
+        "S", ("A", "B"),
+        {(x, y): 0.5 + 0.1 * y for x in range(3) for y in range(2)},
+    )
+    db.add_relation("T", ("B",), {(y,): 0.6 + 0.1 * y for y in range(2)})
+    return db
+
+
+def test_slice_engine_is_the_route_solve_slice_took(monkeypatch):
+    """Explain reads the route from the driver instead of re-deriving it:
+    one narrow three-target component runs ``junction``, which a
+    width-only re-derivation misreports as ``ve``."""
+    import repro.obs.report as report_module
+    import repro.perf.parallel as parallel
+    db = shared_t_database()
+    checks = []
+
+    def counting(original):
+        def wrapper(net, *args, **kwargs):
+            checks.append(len(net))
+            return original(net, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        parallel, "is_tree_factorable", counting(parallel.is_tree_factorable)
+    )
+    if hasattr(report_module, "is_tree_factorable"):
+        monkeypatch.setattr(
+            report_module, "is_tree_factorable",
+            counting(report_module.is_tree_factorable),
+        )
+    with Tracer() as tracer:
+        report, _ = build_explain_report(
+            db, parse_query("q(x) :- R(x), S(x,y), T(y)")
+        )
+    slices = [
+        s for s in tracer.roots[0].walk() if s.name == "explain_slice"
+    ]
+    assert len(slices) == len(report.slices) == 1
+    for span_, record in zip(slices, report.slices):
+        (solve,) = [s for s in span_.walk() if s.name == "solve_slice"]
+        assert record["engine"] == solve.attrs["path"] == "junction"
+        assert span_.attrs["engine"] == "junction"
+    # one tree-factorability test per slice: the solve's own
+    assert len(checks) == len(report.slices)

@@ -195,3 +195,44 @@ def test_ladder_emits_ladder_record_with_rungs():
         1 for a in answers.values() if a.degraded
     )
     assert validate_flight_records(rec) == []
+
+
+def _shared_t_result():
+    from repro.core.executor import PartialLineageEvaluator
+    from repro.query.parser import parse_query
+    from tests.obs.test_report import shared_t_database
+
+    return PartialLineageEvaluator(shared_t_database()).evaluate_query(
+        parse_query("q(x) :- R(x), S(x,y), T(y)")
+    )
+
+
+def test_query_record_counts_components_per_path():
+    with flight_recorder() as rec:
+        _shared_t_result().answer_probabilities()
+    (r,) = rec.records
+    assert r["paths"] == {"tree": 0, "ve": 0, "junction": 1, "dpll": 0}
+    assert validate_flight_records(rec) == []
+
+
+def test_ladder_record_counts_components_per_path():
+    with flight_recorder() as rec:
+        _shared_t_result().resilient_answer_probabilities()
+    (r,) = [r for r in rec.records if r["kind"] == "ladder"]
+    assert r["paths"] == {"tree": 0, "ve": 0, "junction": 1, "dpll": 0}
+    assert validate_flight_records(rec) == []
+
+
+def test_validator_checks_paths():
+    good = FlightRecorder().record("query")
+    assert good["paths"] == {"tree": 0, "ve": 0, "junction": 0, "dpll": 0}
+    assert validate_flight_records([good]) == []
+    for paths in (
+        {"tree": 1},                                         # missing routes
+        {"tree": 0, "ve": 0, "junction": 0, "dpll": 0, "x": 1},  # unknown
+        {"tree": -1, "ve": 0, "junction": 0, "dpll": 0},     # negative
+        {"tree": 0.5, "ve": 0, "junction": 0, "dpll": 0},    # not a count
+        [],
+    ):
+        bad = FlightRecorder().record("ladder", paths=paths)
+        assert any("paths" in e for e in validate_flight_records([bad])), paths

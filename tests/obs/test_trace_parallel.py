@@ -107,3 +107,19 @@ class TestParallelTraceMerging:
             net, targets, workers=2, min_parallel_cost=0.0
         )
         assert_matches_oracle(net, targets, marginals)
+
+
+def test_grouping_runs_under_a_named_span_below_answer_probabilities():
+    """Grouping and the width probe are attributed, not parent self-time."""
+    from tests.obs.test_telemetry import _shared_t_result
+
+    result = _shared_t_result()
+    with Tracer() as tracer:
+        result.answer_probabilities()
+    (root,) = tracer.roots
+    assert root.name == "answer_probabilities"
+    (driver,) = root.find("parallel_marginals")
+    assert driver in root.children
+    (group,) = driver.find("group_components")
+    assert group in driver.children
+    assert root.find("tree_check")

@@ -8,15 +8,16 @@ from repro.core.executor import PartialLineageEvaluator
 from repro.core.inference import compute_marginals
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.db import ProbabilisticDatabase
-from repro.errors import InferenceError
+from repro.errors import CapacityError, InferenceError
 from repro.perf import SubformulaCache
 from repro.perf.parallel import (
     ComponentWork,
+    ExactSolve,
     _chunk_by_cost,
+    drive_components,
     estimate_component,
     group_by_component,
     parallel_marginals,
-    sliced_marginals,
     solve_slice,
 )
 from repro.query.parser import parse_query
@@ -53,14 +54,14 @@ class TestSlicedMarginals:
         for _ in range(30):
             net, roots = multi_component_network(rng, rng.randint(1, 5))
             targets = roots + [EPSILON]
-            assert_matches_oracle(net, targets, sliced_marginals(net, targets))
+            assert_matches_oracle(net, targets, parallel_marginals(net, targets))
 
     def test_random_entangled_networks(self):
         rng = random.Random(22)
         for _ in range(30):
             net = random_network(rng, rng.randint(2, 7), rng.randint(1, 7))
             targets = [v for v in net.nodes() if v != EPSILON]
-            assert_matches_oracle(net, targets, sliced_marginals(net, targets))
+            assert_matches_oracle(net, targets, parallel_marginals(net, targets))
 
     def test_single_giant_component(self):
         # one chain entangling every leaf: slicing must degrade gracefully
@@ -72,14 +73,14 @@ class TestSlicedMarginals:
         top = net.add_gate(NodeKind.AND, [(gate, 1.0), (leaves[0], 1.0)])
         targets = [gate, top]
         assert len(group_by_component(net, targets)) == 1
-        assert_matches_oracle(net, targets, sliced_marginals(net, targets))
+        assert_matches_oracle(net, targets, parallel_marginals(net, targets))
 
     def test_all_singleton_components(self):
         net = AndOrNetwork()
         leaves = [net.add_leaf(0.1 * (i + 1)) for i in range(8)]
         works = group_by_component(net, leaves)
         assert len(works) == 8
-        out = sliced_marginals(net, leaves)
+        out = parallel_marginals(net, leaves)
         for i, l in enumerate(leaves):
             assert out[l] == pytest.approx(0.1 * (i + 1))
 
@@ -89,15 +90,15 @@ class TestSlicedMarginals:
             net, roots = multi_component_network(rng, 3)
             for engine in ("auto", "ve", "dpll"):
                 assert_matches_oracle(
-                    net, roots, sliced_marginals(net, roots, engine=engine)
+                    net, roots, parallel_marginals(net, roots, engine=engine)
                 )
 
     def test_unknown_engine_rejected(self):
         net, roots = multi_component_network(random.Random(0), 1)
         with pytest.raises(ValueError, match="engine"):
-            sliced_marginals(net, roots, engine="bogus")
-        with pytest.raises(ValueError, match="engine"):
             parallel_marginals(net, roots, engine="bogus")
+        with pytest.raises(ValueError, match="engine"):
+            parallel_marginals(net, roots, workers=2, engine="bogus")
 
     def test_query_evaluation_matches(self):
         db = ProbabilisticDatabase()
@@ -114,7 +115,7 @@ class TestSlicedMarginals:
         )
         nodes = [l for _, l, _ in result.relation.items()]
         assert_matches_oracle(
-            result.network, nodes, sliced_marginals(result.network, nodes)
+            result.network, nodes, parallel_marginals(result.network, nodes)
         )
 
 
@@ -214,3 +215,84 @@ class TestScheduling:
             ComponentWork(slice=None, targets=[], cost=1.0) for _ in range(3)
         ]
         assert len(_chunk_by_cost(works, 8)) == 3
+
+
+class TestComponentDriver:
+    def test_records_carry_the_route_solve_slice_took(self):
+        from repro.obs.trace import Tracer
+
+        net, roots = multi_component_network(random.Random(43), 5)
+        with Tracer() as tracer:
+            out, records = drive_components(
+                "parallel_marginals",
+                lambda: group_by_component(net, roots),
+                ExactSolve(),
+            )
+        assert_matches_oracle(net, roots, out)
+        solves = tracer.roots[0].find("solve_slice")
+        assert [r["engine"] for r in records] == [
+            s.attrs["path"] for s in solves
+        ]
+        works = group_by_component(net, roots)
+        assert [r["targets"] for r in records] == [
+            len(w.targets) for w in works
+        ]
+        assert [r["estimated_cost"] for r in records] == [
+            w.cost for w in works
+        ]
+        assert all(r["seconds"] >= 0 for r in records)
+
+    def test_dpll_capacity_fallback_is_reported_as_ve(self, monkeypatch):
+        import repro.perf.parallel as parallel
+
+        def blow_up(*args, **kwargs):
+            raise CapacityError("DNF too large")
+
+        monkeypatch.setattr(parallel, "_dpll_marginal", blow_up)
+        net, roots = multi_component_network(random.Random(44), 3)
+        for work in group_by_component(net, roots):
+            solved = solve_slice(work.slice.network, work.targets, "dpll")
+            assert solved.path == "ve"
+            oracle = compute_marginals(
+                net, [work.slice.to_orig(t) for t in work.targets]
+            )
+            for t in work.targets:
+                assert solved[t] == pytest.approx(
+                    oracle[work.slice.to_orig(t)], abs=1e-12
+                )
+
+    def test_failed_route_rides_on_the_error(self):
+        net, roots = multi_component_network(random.Random(45), 1)
+        (work,) = group_by_component(net, roots)
+        with pytest.raises(InferenceError) as info:
+            solve_slice(
+                work.slice.network, work.targets, "dpll", dpll_max_calls=0
+            )
+        assert info.value.slice_path == "dpll"
+
+    def test_ladder_fallback_reuses_the_exact_grouping(self, monkeypatch):
+        import repro.perf.parallel as parallel
+        import repro.resilience.execute as execute
+
+        calls = []
+        original = parallel.group_by_component
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "group_by_component", counting)
+        monkeypatch.setattr(execute, "group_by_component", counting)
+        from tests.obs.test_report import shared_t_database
+
+        result = PartialLineageEvaluator(shared_t_database()).evaluate_query(
+            parse_query("q(x) :- R(x), S(x,y), T(y)")
+        )
+        with pytest.raises(InferenceError):
+            result.answer_probabilities(engine="dpll", dpll_max_calls=0)
+        answers = result.resilient_answer_probabilities()
+        assert len(calls) == 1
+        exact = result.answer_probabilities()
+        for row, answer in answers.items():
+            assert answer.exact
+            assert answer.probability == pytest.approx(exact[row], abs=1e-12)

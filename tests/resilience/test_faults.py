@@ -118,7 +118,6 @@ class TestChaosScenarios:
         registry = MetricsRegistry()
         out = resilient_marginals(
             net, roots, workers=2, timeout=0.5, max_retries=1,
-            chunks_per_worker=1,
             fault_plan=FaultPlan(
                 (FaultSpec("slow", chunk=0, seconds=30.0),)
             ),
