@@ -1,11 +1,12 @@
-"""Top-k ranking over probabilistic answers (in the style of Ré et al. [21]).
+"""Bounds-first top-k ranking over probabilistic answers.
 
 A movie-recommendation integration: uncertain viewing records, probabilistic
 genre tags, and noisy similarity links. We want the 3 movies most probably
 enjoyed by a target user's taste cluster — without paying exact inference for
-every candidate. The multisimulation-style loop samples all candidates'
-And-Or lineage jointly, prunes clear losers by confidence intervals, and
-finalises only the survivors exactly.
+every candidate. Dissociation bounds (one extensional pass over the plan)
+enclose every answer's probability; answers whose upper bound falls below
+the k-th largest lower bound are certified out, and only the contested
+candidates are solved exactly. The ranking is identical to exact-all.
 
 Run:  python examples/top_k_ranking.py
 """
@@ -13,8 +14,14 @@ Run:  python examples/top_k_ranking.py
 import random
 import time
 
-from repro import PartialLineageEvaluator, ProbabilisticDatabase, parse_query
-from repro.core.topk import top_k_answers
+from repro import (
+    DissociationEvaluator,
+    PartialLineageEvaluator,
+    ProbabilisticDatabase,
+    certified_top_k,
+    left_deep_plan,
+    parse_query,
+)
 
 
 def build_database(seed: int = 11) -> ProbabilisticDatabase:
@@ -51,28 +58,27 @@ def main() -> None:
         "q(movie) :- Watched(user, movie), Likes(user, genre), "
         "Tagged(movie, genre)"
     )
-    result = PartialLineageEvaluator(db).evaluate_query(
-        q, ["Watched", "Likes", "Tagged"]
-    )
+    plan = left_deep_plan(q, ["Watched", "Likes", "Tagged"])
+    result = PartialLineageEvaluator(db).evaluate(plan)
     n_answers = len(result.relation)
     print(f"{n_answers} candidate movies, "
           f"{result.offending_count} offending tuples conditioned\n")
 
     start = time.perf_counter()
-    report = top_k_answers(result, 3, rng=random.Random(0), batch=300)
+    bounds = DissociationEvaluator(db).evaluate(plan)
+    report = certified_top_k(result, bounds, 3)
     topk_time = time.perf_counter() - start
-    print(f"top-3 via multisimulation ({report.rounds} rounds, "
-          f"{report.samples_spent} shared samples, "
-          f"{report.pruned_early} candidates pruned early, "
+    print(f"certified top-3 ({report.refined} candidates refined exactly, "
+          f"{report.certified_out} certified out by their bounds, "
           f"{topk_time:.3f}s):")
     for rank, answer in enumerate(report.answers, start=1):
-        print(f"  {rank}. {answer.row[0]}  Pr = {answer.low:.4f}"
-              f"{' (exact)' if answer.exact else ''}")
+        print(f"  {rank}. {answer.row[0]}  Pr = {answer.probability:.4f}  "
+              f"bounds [{answer.lower:.4f}, {answer.upper:.4f}]")
 
     start = time.perf_counter()
     exact = result.answer_probabilities()
     exact_time = time.perf_counter() - start
-    ranked = sorted(exact.items(), key=lambda kv: -kv[1])[:3]
+    ranked = sorted(exact.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
     print(f"\nexact ranking for comparison ({exact_time:.3f}s over all "
           f"{n_answers} answers):")
     for rank, (row, p) in enumerate(ranked, start=1):

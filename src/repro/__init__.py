@@ -31,10 +31,8 @@ from repro.core import (
     PLRelation,
     PlanChoice,
     Project,
-    RankedAnswer,
     Scan,
     Select,
-    TopKReport,
     choose_join_order,
     compute_marginal,
     compute_marginals,
@@ -45,7 +43,6 @@ from repro.core import (
     optimized_plan,
     partial_lineage_dnf,
     plan_schema,
-    top_k_answers,
 )
 from repro.circuit import (
     ArithmeticCircuit,
@@ -229,14 +226,11 @@ __all__ = [
     "PlanChoice",
     "choose_join_order",
     "optimized_plan",
-    # approximate inference & ranking
+    # approximate inference & what-if
     "partial_lineage_dnf",
     "forward_sample_marginal",
     "karp_luby_marginal",
     "hoeffding_samples",
-    "top_k_answers",
-    "TopKReport",
-    "RankedAnswer",
     "WhatIfAnalysis",
     "Sensitivity",
     "OffendingTuple",

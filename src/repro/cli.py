@@ -595,7 +595,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         policy=AdmissionPolicy(
             max_queue=args.max_queue, workers=args.serve_workers
         ),
-        engine=args.engine,
         default_deadline=args.default_deadline,
         budget_template=template,
         pool_workers=args.workers,
@@ -946,8 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TCP port (0 picks a free port; default 7432)")
     srv.add_argument("--socket", default=None, metavar="PATH",
                      help="serve on a unix-domain socket instead of TCP")
-    srv.add_argument("--engine", default="columnar",
-                     choices=("columnar", "rows"))
     srv.add_argument("--serve-workers", type=int, default=4,
                      help="concurrent execution threads (default 4)")
     srv.add_argument("--max-queue", type=int, default=32,

@@ -53,7 +53,6 @@ from repro.core.approximate import (
 )
 from repro.core.junction import (
     CliqueTree,
-    all_marginals,
     build_clique_tree,
     calibrate_clique_tree,
 )
@@ -63,7 +62,6 @@ from repro.core.treeprop import (
     tree_marginals_array,
 )
 from repro.core.optimizer import PlanChoice, choose_join_order, optimized_plan
-from repro.core.topk import RankedAnswer, TopKReport, top_k_answers
 from repro.core.whatif import Sensitivity, WhatIfAnalysis
 from repro.core.executor import OffendingTuple
 from repro.core.explain import explain, network_to_dot, result_to_dot
@@ -95,7 +93,6 @@ __all__ = [
     "hoeffding_samples",
     "karp_luby_samples",
     "CliqueTree",
-    "all_marginals",
     "build_clique_tree",
     "calibrate_clique_tree",
     "is_tree_factorable",
@@ -104,9 +101,6 @@ __all__ = [
     "PlanChoice",
     "choose_join_order",
     "optimized_plan",
-    "top_k_answers",
-    "TopKReport",
-    "RankedAnswer",
     "WhatIfAnalysis",
     "Sensitivity",
     "OffendingTuple",

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.columnar import BaseEncoding, ColumnarPLRelation
-from repro.core.inference import compute_marginal
 from repro.core.network import EPSILON, AndOrNetwork
 from repro.core.operators import pl_join, project, select_eq, select_where
 from repro.core.plan import (
@@ -219,15 +218,13 @@ class EvaluationResult:
         with probability ``p · Pr(l = 1)`` — the anonymous event is
         independent of the network by construction.
 
-        *engine* selects the final inference path: ``"auto"`` (linear-time
-        tree propagation when the network is tree-factorable, otherwise the
-        component-sliced driver of :mod:`repro.perf.parallel`), ``"ve"`` /
-        ``"dpll"`` (component-sliced, forcing the respective per-component
-        engine), ``"serial"`` (the pre-slicing per-answer loop over
-        :func:`repro.core.inference.compute_marginal` — the oracle the
-        benchmarks compare against), ``"tree"`` (bottom-up propagation,
-        rejects non-tree-factorable networks), or ``"junction"`` (one
-        clique-tree calibration per component, all marginals shared).
+        *engine* is one of :data:`repro.perf.parallel.SLICE_ENGINES`:
+        ``"auto"`` (linear-time tree propagation when the whole network is
+        tree-factorable, otherwise the component driver of
+        :mod:`repro.perf.parallel`, which picks tree / ve / junction / dpll
+        per component), or ``"ve"`` / ``"dpll"`` (the component driver,
+        forcing the elimination or the DPLL routes). Any other value raises
+        :class:`ValueError` before any work is done.
 
         *cache* is an optional shared :class:`~repro.perf.SubformulaCache`
         for the DPLL paths: the per-answer marginal solves then reuse each
@@ -246,16 +243,22 @@ class EvaluationResult:
         degradation to sound bounds instead, use
         :meth:`resilient_answer_probabilities`.
         """
+        from repro.perf.parallel import SLICE_ENGINES
+
+        if engine not in SLICE_ENGINES:
+            raise ValueError(
+                f"unknown inference engine {engine!r}; "
+                f"expected one of {SLICE_ENGINES}"
+            )
         budget = budget if budget is not None else self.budget
         rows = list(self.relation.items())
-        nodes = [l for _, l, _ in rows]
         flight_start = time.perf_counter()
         try:
             if budget is not None:
                 budget.start().checkpoint("answer_probabilities")
             return self._answer_probabilities(
                 engine, dpll_max_calls, cache, workers, budget,
-                rows, nodes, flight_start,
+                rows, flight_start,
             )
         except Exception as exc:
             self.record_flight(
@@ -267,9 +270,9 @@ class EvaluationResult:
 
     def _answer_probabilities(
         self, engine, dpll_max_calls, cache, workers, budget,
-        rows, nodes, flight_start,
+        rows, flight_start,
     ) -> dict[Row, float]:
-        from repro.core.junction import all_marginals
+        # Resolved at call time, so a patched module attribute takes effect.
         from repro.core.treeprop import is_tree_factorable, tree_marginals
         from repro.perf.parallel import (
             DEFAULT_MIN_PARALLEL_COST,
@@ -278,32 +281,17 @@ class EvaluationResult:
         )
 
         marginals: dict[int, float]
-        routes = ()
         with _span(
             "answer_probabilities", engine=engine, nodes=len(self.network)
         ) as sp:
+            tree = False
             if engine == "auto":
                 with _span("tree_check"):
                     tree = is_tree_factorable(self.network)
-            if engine == "tree" or (engine == "auto" and tree):
+            if tree:
                 sp.annotate(path="tree")
                 routes = ["tree"]
-                marginals = tree_marginals(
-                    self.network, check=engine == "tree"
-                )
-            elif engine == "junction":
-                sp.annotate(path="junction")
-                routes = ["junction"]
-                marginals = all_marginals(self.network, nodes)
-            elif engine == "serial":
-                sp.annotate(path="serial")
-                marginals = {EPSILON: 1.0}
-                for l in nodes:
-                    if l not in marginals:
-                        marginals[l] = compute_marginal(
-                            self.network, l, "auto", dpll_max_calls, cache,
-                            budget,
-                        )
+                marginals = tree_marginals(self.network, check=False)
             else:
                 sp.annotate(path="sliced")
                 marginals, records = drive_components(

@@ -261,9 +261,6 @@ def induced_width(factors: Sequence[Factor], keep: Iterable[int] = ()) -> int:
 #: decompositions beat pure treewidth methods on the benchmark workloads.
 VE_WIDTH_LIMIT = 6
 
-#: Hard ceiling for the VE fallback when DNF compilation is infeasible.
-VE_WIDTH_HARD_LIMIT = 18
-
 
 def assignment_probability(
     net: AndOrNetwork, assignment: Mapping[int, int]
@@ -316,7 +313,7 @@ def compute_marginal(
     * ``"auto"`` (default) — variable elimination on narrow networks (width
       at most :data:`VE_WIDTH_LIMIT`, e.g. hash-collapsed tree networks),
       DPLL beyond; if DNF compilation itself is infeasible, fall back to
-      variable elimination up to :data:`VE_WIDTH_HARD_LIMIT`.
+      variable elimination, bounded only by the *budget*'s checkpoints.
 
     *cache* is an optional shared :class:`~repro.perf.SubformulaCache` for
     the DPLL path, letting repeated marginal computations (e.g. one per

@@ -34,7 +34,7 @@ from repro.core.inference import (
     reduce_evidence,
     sum_out,
 )
-from repro.core.network import EPSILON, AndOrNetwork
+from repro.core.network import AndOrNetwork
 from repro.errors import InferenceError
 from repro.obs.trace import span as _span
 
@@ -50,8 +50,8 @@ class CliqueTree:
     beliefs: list[Factor] = field(default_factory=list)
     #: variable -> index of one clique containing it, precomputed at
     #: calibration time so per-variable lookups are O(1) instead of a linear
-    #: scan over all cliques (``all_marginals`` reads many variables off one
-    #: calibrated tree).
+    #: scan over all cliques (a multi-target component reads many variables
+    #: off one calibrated tree).
     clique_of: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -265,32 +265,3 @@ def calibrate_clique_tree(
 
     return CliqueTree(cliques=cliques, parents=parents, beliefs=list(beliefs))
 
-
-def all_marginals(
-    net: AndOrNetwork, nodes: list[int] | None = None
-) -> dict[int, float]:
-    """Marginals ``Pr(v=1)`` for many nodes via one calibration per component.
-
-    Functionally equivalent to calling
-    :func:`repro.core.inference.compute_marginal` per node, but the clique
-    tree is calibrated once per connected component, so the cost is shared.
-    """
-    targets = [v for v in (nodes if nodes is not None else list(net.nodes()))]
-    out: dict[int, float] = {}
-    components = net.components()
-    by_component: dict[int, list[int]] = {}
-    for v in dict.fromkeys(targets):
-        if v == EPSILON:
-            out[EPSILON] = 1.0
-            continue
-        by_component.setdefault(components.of(v), []).append(v)
-    with _span("all_marginals", targets=len(targets)) as sp:
-        sp.add("components", len(by_component))
-        for grouped in by_component.values():
-            # barren-node pruning: only the targets' ancestors matter
-            relevant = net.ancestors(grouped)
-            relevant.add(EPSILON)
-            tree = build_clique_tree(net, relevant)
-            for v in grouped:
-                out[v] = tree.marginal(v)
-    return out

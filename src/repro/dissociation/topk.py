@@ -16,11 +16,8 @@ Soundness of the short-circuit: a skipped answer ``a`` has
 ``a`` can never displace a candidate. All candidates are refined exactly
 and sorted by the same total order as exact-all evaluation, so the
 returned top k is *identical* (set and order) to ranking every answer
-exactly — the skipped work is pure savings.
-
-Distinct from :mod:`repro.core.topk`, the sampling-based multisimulation
-ranker: that one trades exactness for anytime behaviour; this one is exact
-by construction and uses the dissociation bounds only to prune.
+exactly — the skipped work is pure savings. The dissociation bounds only
+prune; the ranking itself is exact by construction.
 """
 
 from __future__ import annotations

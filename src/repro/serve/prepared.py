@@ -59,8 +59,6 @@ class PreparedQuery:
     optimize:
         When true (and no explicit order given), cost join orders once at
         prepare time with :func:`~repro.core.optimizer.choose_join_order`.
-    engine:
-        Operator backend (``"columnar"`` or ``"rows"``).
     encoding:
         The :class:`~repro.core.columnar.BaseEncoding` to scan through —
         the server's shared one; by default the statement owns one.
@@ -74,15 +72,13 @@ class PreparedQuery:
         *,
         join_order: list[str] | None = None,
         optimize: bool = False,
-        engine: str = "columnar",
         encoding: BaseEncoding | None = None,
     ) -> None:
         self.name = name
         self.text = text
-        self.engine = engine
         self.query = parse_query(text)
         if join_order is None and optimize:
-            join_order = list(choose_join_order(self.query, db, engine=engine).order)
+            join_order = list(choose_join_order(self.query, db).order)
         self.join_order = list(join_order) if join_order else None
         self.plan = left_deep_plan(self.query, self.join_order)
         #: Shared final-inference cache; thread-safe, survives across requests.
@@ -90,9 +86,7 @@ class PreparedQuery:
         #: Compiled-circuit cache for what-if analyses over this statement;
         #: the owning server's mutation hook flushes it.
         self.circuit_cache = CircuitCache()
-        self._evaluator = PartialLineageEvaluator(
-            db, engine=engine, encoding=encoding
-        )
+        self._evaluator = PartialLineageEvaluator(db, encoding=encoding)
         # Set after construction: the constructor would subscribe the cache
         # to the database's hooks, one subscription per statement.
         self._evaluator.circuit_cache = self.circuit_cache
@@ -121,7 +115,6 @@ class PreparedQuery:
             "name": self.name,
             "query": self.text,
             "join_order": self.join_order,
-            "engine": self.engine,
             "requests": self.requests,
             "infer_cache": self.infer_cache.stats.as_dict(),
             "circuit_cache": self.circuit_cache.as_dict(),

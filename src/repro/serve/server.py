@@ -75,8 +75,6 @@ class Server:
         isolation but never correctness of already-captured snapshots).
     policy:
         The scheduler's :class:`~repro.serve.scheduler.AdmissionPolicy`.
-    engine:
-        Operator backend for prepared statements.
     default_deadline:
         Deadline (seconds) applied to requests that bring none; ``None``
         leaves them unbudgeted (and thus unreapable).
@@ -97,7 +95,6 @@ class Server:
         db: ProbabilisticDatabase,
         *,
         policy: AdmissionPolicy | None = None,
-        engine: str = "columnar",
         registry: MetricsRegistry | None = None,
         default_deadline: float | None = None,
         budget_template: QueryBudget | None = None,
@@ -105,7 +102,6 @@ class Server:
         seed: int = 0,
     ) -> None:
         self.db = db
-        self.engine = engine
         self.registry = registry if registry is not None else MetricsRegistry()
         self.policy = policy or AdmissionPolicy()
         self.scheduler = Scheduler(self.policy, self.registry)
@@ -142,8 +138,7 @@ class Server:
         """Register (or replace) a prepared statement; returns its summary."""
         statement = PreparedQuery(
             name, text, self.db,
-            join_order=join_order, optimize=optimize, engine=self.engine,
-            encoding=self.encoding,
+            join_order=join_order, optimize=optimize, encoding=self.encoding,
         )
         self.prepared[name] = statement
         self.registry.inc("serve.prepared")
@@ -162,10 +157,7 @@ class Server:
             raise ValueError("query request needs 'prepared' or 'query'")
         # Ad-hoc text: parsed and planned per request and never registered;
         # only the shared base encoding stays warm across requests.
-        return PreparedQuery(
-            "<adhoc>", text, self.db, engine=self.engine,
-            encoding=self.encoding,
-        )
+        return PreparedQuery("<adhoc>", text, self.db, encoding=self.encoding)
 
     # -------------------------------------------------------------- queries
     def _request_budget(self, deadline: float | None) -> QueryBudget | None:
@@ -314,7 +306,7 @@ class Server:
 
     def _exact_payload(self, result, statement, budget) -> dict:
         probs = result.answer_probabilities(
-            engine="auto", cache=statement.infer_cache, budget=budget,
+            cache=statement.infer_cache, budget=budget
         )
         return {
             "answers": protocol.answers_payload(probs),
@@ -343,9 +335,8 @@ class Server:
         }
 
     def _bounds_payload(self, statement, snapshot) -> dict:
-        bounds = DissociationEvaluator(
-            snapshot, engine=self.engine, encoding=self.encoding
-        ).evaluate(statement.plan)
+        evaluator = DissociationEvaluator(snapshot, encoding=self.encoding)
+        bounds = evaluator.evaluate(statement.plan)
         inexact = sum(1 for b in bounds.bounds.values() if b.width > 0.0)
         return {
             "answers": protocol.answers_payload(bounds.bounds),

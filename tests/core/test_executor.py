@@ -262,8 +262,8 @@ def test_hashing_ablation_same_probability_bigger_network():
 
 
 def test_all_inference_engines_agree(rng):
-    """auto / ve / dpll / junction (and tree where applicable) must agree."""
-    from repro.core.treeprop import is_tree_factorable
+    """auto / ve / dpll (and tree propagation where applicable) agree."""
+    from repro.core.treeprop import is_tree_factorable, tree_marginals
 
     q = parse_query("R(x), S(x,y), T(y)")
     checked_tree = 0
@@ -271,17 +271,31 @@ def test_all_inference_engines_agree(rng):
         db = make_rst_database(rng)
         result = PartialLineageEvaluator(db).evaluate_query(q, ["R", "S", "T"])
         reference = result.answer_probabilities(engine="ve")
-        for engine in ("auto", "dpll", "junction"):
+        for engine in ("auto", "dpll"):
             got = result.answer_probabilities(engine=engine)
             assert set(got) == set(reference)
             for k in reference:
                 assert got[k] == pytest.approx(reference[k]), engine
         if is_tree_factorable(result.network):
             checked_tree += 1
-            got = result.answer_probabilities(engine="tree")
-            for k in reference:
-                assert got[k] == pytest.approx(reference[k])
+            marginals = tree_marginals(result.network)
+            for row, l, p in result.relation.items():
+                assert p * marginals[l] == pytest.approx(reference[row])
     assert checked_tree > 0
+
+
+@pytest.mark.parametrize("engine", ["serial", "junction", "tree", "bogus"])
+def test_unknown_inference_engine_rejected_before_any_work(engine):
+    from repro.obs.trace import Tracer
+
+    result = PartialLineageEvaluator(sec42_database()).evaluate_query(
+        parse_query("q(x) :- R(x), S(x,y), T(y)"), ["R", "S", "T"]
+    )
+    with Tracer() as tracer:
+        with pytest.raises(ValueError, match="unknown inference engine"):
+            result.answer_probabilities(engine=engine)
+    # no tree_check, group_components or answer_probabilities span opened
+    assert tracer.roots == []
 
 
 def test_select_plan_node_in_memory():

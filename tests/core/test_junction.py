@@ -1,13 +1,20 @@
-"""Tests for junction-tree calibration (the Theorem 5.17 algorithm)."""
+"""Tests for junction-tree calibration (the Theorem 5.17 algorithm).
+
+Clique trees are built directly here; the many-marginals cases run through
+the component driver, whose elimination route calibrates one clique tree
+per multi-target component (``solve_slice``'s ``junction`` path).
+"""
 
 import random
 
 import pytest
 
 from repro.core.inference import compute_marginal
-from repro.core.junction import all_marginals, build_clique_tree
+from repro.core.junction import build_clique_tree
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.errors import InferenceError
+from repro.obs.trace import Tracer
+from repro.perf.parallel import parallel_marginals
 
 from tests.core.test_inference import random_network
 
@@ -44,7 +51,7 @@ def test_matches_ve_on_random_networks():
 def test_all_marginals_matches_per_node():
     rng = random.Random(17)
     net = random_network(rng, 4, 6)
-    joint = all_marginals(net)
+    joint = parallel_marginals(net, list(net.nodes()), engine="ve")
     for node in net.nodes():
         assert joint[node] == pytest.approx(compute_marginal(net, node, "ve"))
 
@@ -55,7 +62,7 @@ def test_all_marginals_disconnected_components():
     b = net.add_leaf(0.9)
     g = net.add_gate(NodeKind.OR, [(a, 1.0)])  # collapses to a
     h = net.add_gate(NodeKind.AND, [(b, 0.5)])
-    out = all_marginals(net, [g, h, EPSILON])
+    out = parallel_marginals(net, [g, h, EPSILON], engine="ve")
     assert out[g] == pytest.approx(0.2)
     assert out[h] == pytest.approx(0.45)
     assert out[EPSILON] == 1.0
@@ -96,7 +103,10 @@ def test_shared_calibration_is_cheaper_than_per_node():
     for _ in range(30):
         node = net.add_gate(NodeKind.OR, [(node, 0.9)])
         chain.append(node)
-    out = all_marginals(net, chain)
+    with Tracer() as tracer:
+        out = parallel_marginals(net, chain, engine="ve")
+    (solve,) = tracer.roots[0].find("solve_slice")
+    assert solve.attrs["path"] == "junction"
     expected = 0.5
     assert out[chain[0]] == pytest.approx(expected)
     for v in chain[1:]:

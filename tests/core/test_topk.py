@@ -1,16 +1,19 @@
-"""Tests for top-k answer ranking."""
+"""Top-k answer ranking of a partial-lineage result (``certified_top_k``)."""
 
 import random
 
 import pytest
 
 from repro.core.executor import PartialLineageEvaluator
-from repro.core.topk import TopKReport, top_k_answers
+from repro.core.plan import left_deep_plan
 from repro.db import ProbabilisticDatabase
+from repro.dissociation import DissociationEvaluator, certified_top_k
 from repro.query.parser import parse_query
 
+QUERY = parse_query("q(h) :- R(h,x), S(h,x,y), T(h,y)")
 
-def build_result(seed: int = 0, heads: int = 8):
+
+def build_database(seed: int = 0, heads: int = 8) -> ProbabilisticDatabase:
     rng = random.Random(seed)
     db = ProbabilisticDatabase()
     db.add_relation(
@@ -31,76 +34,28 @@ def build_result(seed: int = 0, heads: int = 8):
         "T", ("H", "B"),
         {(h, b): rng.uniform(0.2, 0.95) for h in range(heads) for b in range(2)},
     )
-    q = parse_query("q(h) :- R(h,x), S(h,x,y), T(h,y)")
-    return PartialLineageEvaluator(db).evaluate_query(q, ["R", "S", "T"])
+    return db
+
+
+def top_k(db: ProbabilisticDatabase, k: int):
+    plan = left_deep_plan(QUERY, ["R", "S", "T"])
+    result = PartialLineageEvaluator(db).evaluate(plan)
+    bounds = DissociationEvaluator(db).evaluate(plan)
+    return result.answer_probabilities(), certified_top_k(result, bounds, k)
 
 
 def test_topk_matches_exact_ranking():
-    result = build_result(seed=1)
-    exact = result.answer_probabilities()
-    report = top_k_answers(result, 3, rng=random.Random(0))
+    exact, report = top_k(build_database(seed=1), 3)
     assert len(report.answers) == 3
     expected = sorted(exact.items(), key=lambda kv: -kv[1])[:3]
-    got_rows = [a.row for a in report.answers]
-    assert got_rows == [row for row, _ in expected]
+    assert [a.row for a in report.answers] == [row for row, _ in expected]
     for answer in report.answers:
-        assert answer.exact
-        assert answer.low == pytest.approx(exact[answer.row])
-
-
-def test_topk_without_finalisation_brackets_exact():
-    result = build_result(seed=2)
-    exact = result.answer_probabilities()
-    report = top_k_answers(
-        result, 2, rng=random.Random(3), finalize_exact=False,
-        batch=500, max_rounds=40,
-    )
-    for answer in report.answers:
-        assert not answer.exact or answer.low == answer.high
-        assert answer.low - 1e-9 <= exact[answer.row] <= answer.high + 1e-9
+        assert answer.probability == pytest.approx(exact[answer.row])
+        assert answer.lower - 1e-9 <= exact[answer.row] <= answer.upper + 1e-9
 
 
 def test_topk_k_larger_than_answers():
-    result = build_result(seed=3, heads=2)
-    report = top_k_answers(result, 10, rng=random.Random(0))
+    exact, report = top_k(build_database(seed=3, heads=2), 10)
+    assert len(exact) == 2
     assert len(report.answers) == 2
-
-
-def test_topk_validation_and_empty():
-    result = build_result(seed=4, heads=2)
-    with pytest.raises(ValueError):
-        top_k_answers(result, 0)
-
-    db = ProbabilisticDatabase()
-    db.add_relation("R", ("A",), {(1,): 0.5})
-    db.add_relation("S", ("A", "B"), {(2, 1): 0.5})
-    empty = PartialLineageEvaluator(db).evaluate_query(
-        parse_query("q(x) :- R(x), S(x,y)")
-    )
-    report = top_k_answers(empty, 3)
-    assert isinstance(report, TopKReport)
-    assert report.answers == []
-
-
-def test_topk_prunes_clear_losers():
-    """With one dominant answer and many tiny ones, sampling should prune."""
-    rng = random.Random(5)
-    db = ProbabilisticDatabase()
-    rows_r, rows_s = {}, {}
-    rows_r[(0, 0)] = 0.95
-    rows_s[(0, 0, 0)] = 0.95
-    rows_s[(0, 0, 1)] = 0.95
-    for h in range(1, 10):
-        rows_r[(h, 0)] = 0.05
-        rows_s[(h, 0, 0)] = 0.05
-        rows_s[(h, 0, 1)] = 0.05
-    db.add_relation("R", ("H", "A"), rows_r)
-    db.add_relation("S", ("H", "A", "B"), rows_s)
-    db.add_relation(
-        "T", ("H", "B"), {(h, b): 0.9 for h in range(10) for b in (0, 1)}
-    )
-    q = parse_query("q(h) :- R(h,x), S(h,x,y), T(h,y)")
-    result = PartialLineageEvaluator(db).evaluate_query(q, ["R", "S", "T"])
-    report = top_k_answers(result, 1, rng=rng, batch=300)
-    assert report.answers[0].row == (0,)
-    assert report.rounds >= 1
+    assert {a.row for a in report.answers} == set(exact)

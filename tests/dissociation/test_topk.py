@@ -90,3 +90,35 @@ class TestAccounting:
         bounds = DissociationEvaluator(db).evaluate(plan)
         with pytest.raises(ValueError):
             certified_top_k(result, bounds, 0)
+
+    def test_empty_result(self):
+        db = ProbabilisticDatabase()
+        db.add_relation("R", ("A",), {(1,): 0.5})
+        db.add_relation("S", ("A", "B"), {(2, 1): 0.5})
+        cert, exact_ranked = certify(
+            db, parse_query("q(x) :- R(x), S(x,y)"), ["R", "S"], 3
+        )
+        assert exact_ranked == []
+        assert cert.answers == []
+        assert cert.total_answers == cert.refined == cert.certified_out == 0
+
+    def test_dominant_answer_certifies_clear_losers_out(self):
+        db = ProbabilisticDatabase()
+        rows_r = {(0, 0): 0.95}
+        rows_s = {(0, 0, 0): 0.95, (0, 0, 1): 0.95}
+        for h in range(1, 10):
+            rows_r[(h, 0)] = 0.05
+            rows_s[(h, 0, 0)] = 0.05
+            rows_s[(h, 0, 1)] = 0.05
+        db.add_relation("R", ("H", "A"), rows_r)
+        db.add_relation("S", ("H", "A", "B"), rows_s)
+        db.add_relation(
+            "T", ("H", "B"), {(h, b): 0.9 for h in range(10) for b in (0, 1)}
+        )
+        query = parse_query("q(h) :- R(h,x), S(h,x,y), T(h,y)")
+        cert, exact_ranked = certify(db, query, ["R", "S", "T"], 1)
+        assert [a.row for a in cert.answers] == [(0,)] == [
+            row for row, _ in exact_ranked[:1]
+        ]
+        assert cert.certified_out == 9
+        assert cert.refined == 1
