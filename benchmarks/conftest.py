@@ -7,8 +7,9 @@ whole suite finishes in minutes. Set ``REPRO_BENCH_SCALE=full`` for a larger
 run (tens of minutes).
 
 Every figure module prints the series the paper plots; the output is also
-mirrored to ``benchmarks/reports/<figure>.txt`` so it survives pytest's
-output capture.
+written to ``.benchmarks/reports/<figure>.txt`` (git-ignored) so it survives
+pytest's output capture without dirtying the tree. The committed
+``benchmarks/reports/*.txt`` are reference copies of one earlier run.
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ def scale() -> dict[str, tuple[int, int]]:
     return SCALES[os.environ.get("REPRO_BENCH_SCALE", "small")]
 
 
-REPORT_DIR = pathlib.Path(__file__).parent / "reports"
+#: Where fresh runs write their tables (ignored by git).
+REPORT_DIR = (
+    pathlib.Path(__file__).resolve().parent.parent / ".benchmarks" / "reports"
+)
 
 
 def bench_report(name: str, text: str) -> None:
     """Print a benchmark table bypassing pytest capture, and persist it."""
     sys.__stdout__.write("\n" + text + "\n")
     sys.__stdout__.flush()
-    REPORT_DIR.mkdir(exist_ok=True)
+    REPORT_DIR.mkdir(parents=True, exist_ok=True)
     (REPORT_DIR / f"{name}.txt").write_text(text + "\n")
 
 

@@ -14,11 +14,12 @@ kernels:
 * ``select_eq`` is a boolean mask; ``independent_project`` groups by
   (key, lineage) via ``np.unique`` and merges probabilities with a log-space
   ``1 - Π(1-p)`` grouped reduction; ``deduplicate`` batches whole Or groups
-  into one :meth:`~repro.core.network.AndOrNetwork.add_gates` call; ``cset``
-  is an ``np.unique`` fanout count plus a ``p < 1`` mask; ``condition``
-  bulk-allocates leaves/gates; ``pl_join`` is a sort + ``searchsorted``
-  key join that splits numeric-multiply pairs from gate-needing pairs in one
-  vectorized pass.
+  into one :meth:`~repro.core.network.AndOrNetwork.add_gates` call;
+  ``condition`` bulk-allocates leaves/gates; ``pl_join`` builds one
+  :class:`JoinIndex` (one stable sort of both sides' fused keys) whose
+  partner counts give both cSets and whose match pairs, split into
+  numeric-multiply pairs and gate-needing pairs in one vectorized pass,
+  give the join.
 
 Every kernel preserves the row engine's *operation order* — first-occurrence
 group ordering, left-major/right-stable match ordering, row-order
@@ -49,6 +50,7 @@ __all__ = [
     "ColumnarPLRelation",
     "ColumnarProjected",
     "Comparison",
+    "JoinIndex",
     "from_base",
     "select_eq",
     "select_where",
@@ -221,12 +223,15 @@ class ColumnarPLRelation:
 
     def rows(self) -> list[Row]:
         """All rows (decoded), in insertion order."""
+        return self.rows_at(np.arange(len(self)))
+
+    def rows_at(self, indices: np.ndarray) -> list[Row]:
+        """The rows at *indices* (decoded), in that order."""
         k = len(self.attributes)
         if k == 0:
-            return [()] * len(self)
-        cols = [
-            self.interner.decode_column(self.codes[:, j]) for j in range(k)
-        ]
+            return [()] * len(indices)
+        codes = np.take(self.codes, indices, axis=0)
+        cols = [self.interner.decode_column(codes[:, j]) for j in range(k)]
         return list(zip(*cols))
 
     def items(self) -> Iterator[tuple[Row, int, float]]:
@@ -238,9 +243,7 @@ class ColumnarPLRelation:
 
     def symbolic_rows(self) -> list[Row]:
         """Rows whose lineage is not ε — the intensional part."""
-        idx = np.flatnonzero(self.lineage != EPSILON)
-        rows = self.rows()
-        return [rows[i] for i in idx.tolist()]
+        return self.rows_at(np.flatnonzero(self.lineage != EPSILON))
 
     def is_purely_extensional(self) -> bool:
         """True when every row has trivial lineage."""
@@ -522,6 +525,74 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         np.cumsum(counts) - counts, counts
     )
     return reps + offs
+
+
+class JoinIndex:
+    """One equi-join's key grouping, shared by every step of a safe join.
+
+    The key columns of both sides are fused once, in one code space, and
+    the concatenated left+right keys get one stable ``argsort``. Within a
+    key's run of the sorted order, the left rows come first and then the
+    right rows, each in insertion order. Three things follow from that one
+    sort:
+
+    * :attr:`left_partners`: per left row, the number of right rows with
+      its key;
+    * :attr:`right_partners`: per right row, the number of left rows with
+      its key;
+    * :meth:`pairs`: the match pairs ``(li, ri)``, left-major, with the
+      right rows of a key in insertion order (the row engine's order).
+
+    The index reads only code matrices and key positions, so any columnar
+    relation can use it. It stays valid for relations whose lineage and
+    probabilities changed but whose keys did not, which is what
+    conditioning does.
+    """
+
+    __slots__ = ("left_partners", "right_partners", "_order", "_starts", "_nl")
+
+    def __init__(
+        self,
+        left_codes: np.ndarray,
+        left_positions: Sequence[int],
+        right_codes: np.ndarray,
+        right_positions: Sequence[int],
+    ) -> None:
+        nl, nr = len(left_codes), len(right_codes)
+        n = nl + nr
+        keys = _fuse(
+            n,
+            [
+                np.concatenate([left_codes[:, lj], right_codes[:, rj]])
+                for lj, rj in zip(left_positions, right_positions)
+            ],
+        )
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        new_key = np.ones(n, dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:])
+        group_starts = np.flatnonzero(new_key)
+        sizes = np.diff(np.append(group_starts, n))
+        sorted_gid = np.cumsum(new_key) - 1
+        lcount = np.bincount(
+            sorted_gid[order < nl], minlength=group_starts.size
+        )
+        gid = np.empty(n, dtype=np.int64)
+        gid[order] = sorted_gid
+        lgid, rgid = gid[:nl], gid[nl:]
+        self.left_partners = (sizes - lcount)[lgid]
+        self.right_partners = lcount[rgid]
+        self._order = order
+        # Per left row: where its key's right rows start in the sort.
+        self._starts = (group_starts + lcount)[lgid]
+        self._nl = nl
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Match pairs ``(li, ri)``: left-major, right insertion order."""
+        counts = self.left_partners
+        li = np.repeat(np.arange(self._nl, dtype=np.int64), counts)
+        ri = self._order[_concat_ranges(self._starts, counts)] - self._nl
+        return li, ri
 
 
 # --------------------------------------------------------------------- select
@@ -819,9 +890,8 @@ def condition(
     lineage[todo] = new_nodes
     probs[todo] = 1.0
     if recorder is not None:
-        all_rows = rel.rows()
-        for i, node in zip(todo.tolist(), new_nodes.tolist()):
-            recorder(node, rel.name, all_rows[i])
+        for row, node in zip(rel.rows_at(todo), new_nodes.tolist()):
+            recorder(node, rel.name, row)
     return out
 
 
@@ -835,20 +905,13 @@ def _join_positions(
     return lpos, rpos, keep
 
 
-def _joint_keys(
-    left: ColumnarPLRelation,
-    right: ColumnarPLRelation,
-    lpos: Sequence[int],
-    rpos: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse both sides' join-key columns in one shared key space."""
-    nl, nr = len(left), len(right)
-    cols = [
-        np.concatenate([left.codes[:, lj], right.codes[:, rj]])
-        for lj, rj in zip(lpos, rpos)
-    ]
-    fused = _fuse(nl + nr, cols)
-    return fused[:nl], fused[nl:]
+def _join_index(
+    left: ColumnarPLRelation, right: ColumnarPLRelation, on: Sequence[str]
+) -> tuple[JoinIndex, list[int]]:
+    """The join index of *left* ⋈ *right* on *on*, plus the kept right
+    columns."""
+    lpos, rpos, keep = _join_positions(left, right, on)
+    return JoinIndex(left.codes, lpos, right.codes, rpos), keep
 
 
 def cset_mask(
@@ -856,23 +919,24 @@ def cset_mask(
 ) -> np.ndarray:
     """Boolean mask of *left*'s offending tuples (Definition 5.14):
     uncertain and joining with more than one tuple of *right*."""
-    lpos, rpos, _ = _join_positions(left, right, on)
-    lkeys, rkeys = _joint_keys(left, right, lpos, rpos)
-    uniq, inverse = np.unique(
-        np.concatenate([lkeys, rkeys]), return_inverse=True
-    )
-    linv, rinv = inverse[: len(left)], inverse[len(left):]
-    fanout = np.bincount(rinv, minlength=uniq.size)
-    return (left.probs < 1.0) & (fanout[linv] > 1)
+    index, _ = _join_index(left, right, on)
+    return (left.probs < 1.0) & (index.left_partners > 1)
 
 
 def cset(
     left: ColumnarPLRelation, right: ColumnarPLRelation, on: Sequence[str]
 ) -> list[Row]:
     """``cSet(left, right)`` as decoded rows (row-engine API parity)."""
-    mask = cset_mask(left, right, on)
-    rows = left.rows()
-    return [rows[i] for i in np.flatnonzero(mask).tolist()]
+    return left.rows_at(np.flatnonzero(cset_mask(left, right, on)))
+
+
+def _check_shared(left: ColumnarPLRelation, right: ColumnarPLRelation) -> None:
+    if left.network is not right.network:
+        raise SchemaError("pL-join requires both sides to share one network")
+    if left.interner is not right.interner:
+        raise SchemaError(
+            "columnar pL-join requires both sides to share one interner"
+        )
 
 
 def pl_join_raw(
@@ -880,28 +944,25 @@ def pl_join_raw(
 ) -> ColumnarPLRelation:
     """Vectorized ``⋈_pL`` (Definition 5.13), *without* conditioning.
 
-    A key-encoded sort/``searchsorted`` join yields match index pairs in the
-    row engine's order (left-major, right insertion order within a key);
-    one vectorized pass then splits pairs whose sides both carry lineage
-    (batched And gates) from pairs folded by numeric multiplication.
+    The :class:`JoinIndex` yields match index pairs in the row engine's
+    order (left-major, right insertion order within a key); one vectorized
+    pass then splits pairs whose sides both carry lineage (batched And
+    gates) from pairs folded by numeric multiplication.
     """
-    if left.network is not right.network:
-        raise SchemaError("pL-join requires both sides to share one network")
-    if left.interner is not right.interner:
-        raise SchemaError(
-            "columnar pL-join requires both sides to share one interner"
-        )
-    net = left.network
-    lpos, rpos, keep = _join_positions(left, right, on)
-    lkeys, rkeys = _joint_keys(left, right, lpos, rpos)
-    r_order = np.argsort(rkeys, kind="stable")
-    r_sorted = rkeys[r_order]
-    starts = np.searchsorted(r_sorted, lkeys, side="left")
-    ends = np.searchsorted(r_sorted, lkeys, side="right")
-    counts = ends - starts
-    li = np.repeat(np.arange(len(left), dtype=np.int64), counts)
-    ri = r_order[_concat_ranges(starts, counts)]
+    _check_shared(left, right)
+    index, keep = _join_index(left, right, on)
+    return _join_pairs(left, right, keep, *index.pairs())
 
+
+def _join_pairs(
+    left: ColumnarPLRelation,
+    right: ColumnarPLRelation,
+    keep: Sequence[int],
+    li: np.ndarray,
+    ri: np.ndarray,
+) -> ColumnarPLRelation:
+    """The ``⋈_pL`` output of the match pairs ``(li, ri)``."""
+    net = left.network
     ll = left.lineage[li]
     rl = right.lineage[ri]
     lp = left.probs[li]
@@ -916,15 +977,14 @@ def pl_join_raw(
         out_probs[both] = 1.0
 
     out_attrs = left.attributes + tuple(right.attributes[i] for i in keep)
-    left_codes = left.codes[li]
-    if keep:
-        out_codes = np.concatenate(
-            [left_codes, right.codes[ri][:, keep]], axis=1
-        )
-    elif left_codes.shape[1]:
-        out_codes = left_codes
-    else:
-        out_codes = np.empty((len(li), 0), dtype=np.int64)
+    # np.take gathers whole rows several times faster than fancy indexing.
+    out_codes = np.concatenate(
+        [
+            np.take(left.codes, li, axis=0),
+            np.take(right.codes[:, keep], ri, axis=0),
+        ],
+        axis=1,
+    )
     return ColumnarPLRelation(
         out_attrs,
         net,
@@ -943,10 +1003,17 @@ def pl_join(
     recorder=None,
 ) -> tuple[ColumnarPLRelation, int]:
     """Safe join (Theorem 5.16): condition both sides on their cSets, then
-    ``⋈_pL`` — all steps vectorized. Returns (joined, conditioned count)."""
-    lmask = cset_mask(left, right, on)
-    rmask = cset_mask(right, left, on)
+    ``⋈_pL`` — all steps vectorized. Returns (joined, conditioned count).
+
+    One :class:`JoinIndex` serves all three steps: its partner counts give
+    both cSets, and its pairs, still valid after conditioning (which
+    changes lineage, not keys), give the join.
+    """
+    _check_shared(left, right)
+    index, keep = _join_index(left, right, on)
+    lmask = (left.probs < 1.0) & (index.left_partners > 1)
+    rmask = (right.probs < 1.0) & (index.right_partners > 1)
     left2 = condition(left, lmask, recorder) if lmask.any() else left
     right2 = condition(right, rmask, recorder) if rmask.any() else right
-    joined = pl_join_raw(left2, right2, on)
+    joined = _join_pairs(left2, right2, keep, *index.pairs())
     return joined, int(lmask.sum()) + int(rmask.sum())

@@ -118,6 +118,38 @@ def _noisy_step(kind: NodeKind, prev: int, parent: int, out: int, q: float) -> F
     return Factor((prev, parent, out), t)
 
 
+def _decomposition(
+    net: AndOrNetwork, relevant: Iterable[int] | None
+) -> Iterable[tuple[tuple[int, ...], NodeKind, float]]:
+    """The ternary decomposition as ``(scope, kind, q)`` per factor.
+
+    A leaf's scope is ``(v,)`` with ``q`` its probability, a single-parent
+    step's ``(parent, out)``, a chain step's ``(prev, parent, out)``.
+    Auxiliary chain variables get ids beyond ``len(net)``, in walk order.
+    """
+    nodes = sorted(relevant) if relevant is not None else list(net.nodes())
+    aux = itertools.count(len(net))
+    for v in nodes:
+        kind = net.kind(v)
+        if kind is NodeKind.LEAF:
+            yield (v,), kind, net.leaf_probability(v)
+            continue
+        parents = net.parents(v)
+        if len(parents) == 1:
+            w, q = parents[0]
+            yield (w, v), kind, q
+            continue
+        prev = None
+        for i, (w, q) in enumerate(parents):
+            if i == 0:
+                prev = next(aux)
+                yield (w, prev), kind, q
+            else:
+                out = v if i == len(parents) - 1 else next(aux)
+                yield (prev, w, out), kind, q
+                prev = out
+
+
 def network_factors(
     net: AndOrNetwork, relevant: Iterable[int] | None = None
 ) -> list[Factor]:
@@ -126,30 +158,23 @@ def network_factors(
     Auxiliary chain variables get ids beyond ``len(net)``. When *relevant* is
     given, only those nodes (which must be ancestor-closed) are encoded.
     """
-    nodes = sorted(relevant) if relevant is not None else list(net.nodes())
-    aux = itertools.count(len(net))
     factors: list[Factor] = []
-    for v in nodes:
-        kind = net.kind(v)
-        if kind is NodeKind.LEAF:
-            factors.append(_leaf_factor(v, net.leaf_probability(v)))
-            continue
-        parents = net.parents(v)
-        if len(parents) == 1:
-            w, q = parents[0]
-            factors.append(_noisy_unary(w, v, q))
-            continue
-        prev = None
-        for i, (w, q) in enumerate(parents):
-            last = i == len(parents) - 1
-            if i == 0:
-                prev = next(aux)
-                factors.append(_noisy_unary(w, prev, q))
-            else:
-                out = v if last else next(aux)
-                factors.append(_noisy_step(kind, prev, w, out, q))
-                prev = out
+    for scope, kind, q in _decomposition(net, relevant):
+        if len(scope) == 1:
+            factors.append(_leaf_factor(scope[0], q))
+        elif len(scope) == 2:
+            factors.append(_noisy_unary(*scope, q))
+        else:
+            factors.append(_noisy_step(kind, *scope, q))
     return factors
+
+
+def network_scopes(
+    net: AndOrNetwork, relevant: Iterable[int] | None = None
+) -> list[tuple[int, ...]]:
+    """The variable scopes of :func:`network_factors`, without building
+    the tables (same factors, same order, same auxiliary ids)."""
+    return [scope for scope, _, _ in _decomposition(net, relevant)]
 
 
 # -------------------------------------------------------------- elimination

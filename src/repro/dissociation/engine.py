@@ -378,40 +378,18 @@ class DissociationEvaluator:
         keep = [
             i for i, a in enumerate(right.attributes) if a not in set(on)
         ]
-        nl, nr = len(left), len(right)
-        # Per-key fanout of each side seen from the other: the dissociation
-        # degree c of every row (how many copies its partner-joins create).
-        fused = _columnar._fuse(
-            nl + nr,
-            [
-                np.concatenate([left.codes[:, lj], right.codes[:, rj]])
-                for lj, rj in zip(lpos, rpos)
-            ],
-        )
-        lkeys, rkeys = fused[:nl], fused[nl:]
-        uniq, inverse = np.unique(np.concatenate([lkeys, rkeys]),
-                                  return_inverse=True)
-        linv, rinv = inverse[:nl], inverse[nl:]
-        lcount = np.bincount(linv, minlength=uniq.size)
-        rcount = np.bincount(rinv, minlength=uniq.size)
-        lo_l, nsplit = _split_lower(left.lo, rcount[linv])
+        # Per-row partner count on the other side: the dissociation degree
+        # c of every row (how many copies its partner-joins create).
+        index = _columnar.JoinIndex(left.codes, lpos, right.codes, rpos)
+        lo_l, nsplit = _split_lower(left.lo, index.left_partners)
         self._dissociated += nsplit
-        lo_r, nsplit = _split_lower(right.lo, lcount[rinv])
+        lo_r, nsplit = _split_lower(right.lo, index.right_partners)
         self._dissociated += nsplit
-        # Pair enumeration, exactly like pl_join_raw.
-        r_order = np.argsort(rkeys, kind="stable")
-        sorted_rkeys = rkeys[r_order]
-        starts = np.searchsorted(sorted_rkeys, lkeys, "left")
-        ends = np.searchsorted(sorted_rkeys, lkeys, "right")
-        counts = ends - starts
-        li = np.repeat(np.arange(nl), counts)
-        ri = r_order[_columnar._concat_ranges(starts, counts)]
+        li, ri = index.pairs()
         codes = np.concatenate(
             [
-                left.codes[li],
-                right.codes[ri][:, keep]
-                if keep
-                else np.empty((li.size, 0), dtype=np.int64),
+                np.take(left.codes, li, axis=0),
+                np.take(right.codes[:, keep], ri, axis=0),
             ],
             axis=1,
         )

@@ -42,6 +42,7 @@ from repro.core.inference import (
     compute_marginal,
     eliminate,
     network_factors,
+    network_scopes,
     reduce_evidence,
 )
 from repro.core.junction import _elimination_cliques, calibrate_clique_tree
@@ -113,11 +114,13 @@ def estimate_component(net: AndOrNetwork, limit: int = VE_WIDTH_LIMIT):
     clique sizes ``2^(degree+1)`` when narrow, a per-factor DPLL proxy when
     wide.
     """
-    factors = network_factors(net)
+    scopes = network_scopes(net)
     adj: dict[int, set[int]] = {}
-    for f in factors:
-        for v in f.vars:
-            adj.setdefault(v, set()).update(w for w in f.vars if w != v)
+    for scope in scopes:
+        for v in scope:
+            adj.setdefault(v, set()).update(scope)
+    for v, nbrs in adj.items():
+        nbrs.discard(v)
     heap = [(len(nbrs), v) for v, nbrs in adj.items()]
     heapq.heapify(heap)
     cost = 0.0
@@ -132,17 +135,14 @@ def estimate_component(net: AndOrNetwork, limit: int = VE_WIDTH_LIMIT):
         if degree > limit:
             # the *minimum* degree exceeds the budget: this greedy order
             # (our width estimator, as in ``induced_width``) is over budget
-            return False, len(factors) * _WIDE_FACTOR_COST
+            return False, len(scopes) * _WIDE_FACTOR_COST
         cost += float(2 ** (degree + 1))
-        nbr_list = list(nbrs)
-        for i, a in enumerate(nbr_list):
-            sa = adj[a]
-            for b in nbr_list[i + 1 :]:
-                if b not in sa:
-                    sa.add(b)
-                    adj[b].add(a)
-        for w in nbr_list:
+        # Eliminating v makes its neighbours a clique: each one gains all
+        # the others (set unions run in C) and loses v.
+        for w in nbrs:
             wn = adj[w]
+            wn |= nbrs
+            wn.discard(w)
             wn.discard(v)
             heapq.heappush(heap, (len(wn), w))
         del adj[v]

@@ -1,16 +1,18 @@
 """Sliced / batched / process-parallel marginals vs the serial oracle."""
 
+import heapq
 import random
 
 import pytest
 
 from repro.core.executor import PartialLineageEvaluator
-from repro.core.inference import compute_marginals
+from repro.core.inference import compute_marginals, network_factors
 from repro.core.network import EPSILON, AndOrNetwork, NodeKind
 from repro.db import ProbabilisticDatabase
 from repro.errors import CapacityError, InferenceError
 from repro.perf import SubformulaCache
 from repro.perf.parallel import (
+    _WIDE_FACTOR_COST,
     ComponentWork,
     ExactSolve,
     _chunk_by_cost,
@@ -169,6 +171,39 @@ class TestParallelMarginals:
             )
 
 
+def reference_probe(net, limit):
+    """Min-degree elimination written out pair by pair over the factors."""
+    factors = network_factors(net)
+    adj = {}
+    for f in factors:
+        for v in f.vars:
+            adj.setdefault(v, set()).update(w for w in f.vars if w != v)
+    heap = [(len(nbrs), v) for v, nbrs in adj.items()]
+    heapq.heapify(heap)
+    cost = 0.0
+    while heap:
+        degree, v = heapq.heappop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None:
+            continue
+        if len(nbrs) != degree:
+            heapq.heappush(heap, (len(nbrs), v))
+            continue
+        if degree > limit:
+            return False, len(factors) * _WIDE_FACTOR_COST
+        cost += float(2 ** (degree + 1))
+        nbr_list = list(nbrs)
+        for i, a in enumerate(nbr_list):
+            for b in nbr_list[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for w in nbr_list:
+            adj[w].discard(v)
+            heapq.heappush(heap, (len(adj[w]), w))
+        del adj[v]
+    return True, cost
+
+
 class TestScheduling:
     def test_estimate_component_narrow(self):
         net, roots = multi_component_network(random.Random(41), 1)
@@ -186,6 +221,18 @@ class TestScheduling:
         narrow, cost = estimate_component(net, limit=1)
         assert not narrow
         assert cost > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_estimate_component_matches_reference(self, seed):
+        # The probe reads factor scopes and fills cliques with set unions;
+        # the plain pairwise loop over the factor tables' variables is the
+        # reference, and (narrow, cost) must match it exactly.
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(2, 12), rng.randint(1, 40))
+        for limit in (1, 2, 4, 8, 22):
+            assert estimate_component(net, limit) == reference_probe(
+                net, limit
+            )
 
     def test_wide_verdict_still_solved_exactly(self):
         net, roots = multi_component_network(random.Random(42), 3)
